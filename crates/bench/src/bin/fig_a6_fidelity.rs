@@ -5,18 +5,43 @@
 //! synthesis because of their *fidelity*: "an optimal or near-optimal
 //! solution achieved by a design methodology based on the Elmore delay is
 //! also near-optimal based on a more accurate delay" \[25\]. This binary
-//! tests that claim for buffer insertion on RLC nets: van Ginneken's DP
-//! (driven by Elmore constants) picks a placement; exhaustive search
-//! scored by the *full RLC model* finds the true optimum; we report how
-//! close the Elmore choice lands.
+//! tests that claim for buffer insertion on RLC nets: the `rlc-synth`
+//! buffer DP run on an L = 0 copy of each net — its RC limit, the classic
+//! Elmore-objective van Ginneken recurrence — picks a placement;
+//! exhaustive search scored by the *full RLC model* on the real net finds
+//! the true optimum; we report how close the Elmore choice lands.
 //!
 //! Run with: `cargo run -p rlc-bench --bin fig_a6_fidelity --release`
 
 use rlc_bench::{conclude, BenchError, FigureCsv, ShapeChecks};
-use rlc_opt::buffering;
 use rlc_opt::repeater::Repeater;
-use rlc_tree::{topology, NodeId, RlcTree};
+use rlc_synth::{plan_buffers, score_placement, BufferSpec};
+use rlc_tree::{topology, NodeId, RlcSection, RlcTree};
 use rlc_units::{Capacitance, Inductance, Resistance, Time};
+
+/// A size-`size` instance of `lib` as a DP buffer: the scaled output
+/// resistance and input capacitance, with the self-loading delay
+/// `ln 2 · R_out · C_out` as the intrinsic delay.
+fn buffer_spec(lib: &Repeater, size: f64) -> BufferSpec {
+    let resistance = lib.resistance.as_ohms() / size;
+    BufferSpec {
+        resistance,
+        input_capacitance: lib.input_capacitance.as_farads() * size,
+        intrinsic_delay: std::f64::consts::LN_2
+            * resistance
+            * (lib.output_capacitance.as_farads() * size),
+    }
+}
+
+/// The net with every inductance zeroed: the DP's Elmore (RC) limit.
+fn rc_limit(tree: &RlcTree) -> RlcTree {
+    let mut rc = tree.clone();
+    for id in tree.node_ids() {
+        let section = *tree.section(id);
+        *rc.section_mut(id) = RlcSection::rc(section.resistance(), section.capacitance());
+    }
+    rc
+}
 
 fn corpus() -> Vec<(String, RlcTree)> {
     let mut cases = Vec::new();
@@ -59,9 +84,8 @@ fn corpus() -> Vec<(String, RlcTree)> {
 }
 
 fn main() -> Result<(), BenchError> {
-    let lib = Repeater::typical_cmos_250nm();
-    let size = 15.0;
-    let driver = Resistance::from_ohms(400.0);
+    let buffer = buffer_spec(&Repeater::typical_cmos_250nm(), 15.0);
+    let driver = 400.0; // Ω
 
     let mut csv = FigureCsv::create(
         "fig_a6_fidelity",
@@ -71,14 +95,14 @@ fn main() -> Result<(), BenchError> {
     let mut excesses = Vec::new();
     let mut ranks = Vec::new();
     for (idx, (name, tree)) in corpus().into_iter().enumerate() {
-        let sol = buffering::van_ginneken(&tree, driver, &lib, size);
-        let chosen = buffering::evaluate(&tree, &sol.buffers, driver, &lib, size);
+        let elmore = plan_buffers(&rc_limit(&tree), driver, &buffer);
+        let chosen = score_placement(&tree, driver, &buffer, &elmore.buffers);
 
         // Exhaustive search over all 2^7 placements, scored by the RLC
         // model.
         let nodes: Vec<NodeId> = tree.node_ids().collect();
-        let mut all: Vec<Time> = Vec::with_capacity(1 << nodes.len());
-        let mut best = Time::from_seconds(f64::INFINITY);
+        let mut all: Vec<f64> = Vec::with_capacity(1 << nodes.len());
+        let mut best = f64::INFINITY;
         for mask in 0u32..(1 << nodes.len()) {
             let set: Vec<NodeId> = nodes
                 .iter()
@@ -86,16 +110,13 @@ fn main() -> Result<(), BenchError> {
                 .filter(|(k, _)| mask & (1 << k) != 0)
                 .map(|(_, &n)| n)
                 .collect();
-            let d = buffering::evaluate(&tree, &set, driver, &lib, size);
+            let d = score_placement(&tree, driver, &buffer, &set);
             best = best.min(d);
             all.push(d);
         }
-        let excess = chosen.as_seconds() / best.as_seconds() - 1.0;
-        let rank = all
-            .iter()
-            .filter(|d| d.as_seconds() < chosen.as_seconds() * (1.0 - 1e-12))
-            .count()
-            + 1;
+        let excess = chosen / best - 1.0;
+        let rank = all.iter().filter(|&&d| d < chosen * (1.0 - 1e-12)).count() + 1;
+        let (chosen, best) = (Time::from_seconds(chosen), Time::from_seconds(best));
         excesses.push(excess);
         ranks.push(rank);
         csv.row(&[

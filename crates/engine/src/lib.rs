@@ -24,8 +24,10 @@
 //!   single [`set_section`](IncrementalAnalysis::set_section) edit costs
 //!   O(depth) instead of an O(n) re-pass, while staying *bit-identical* to
 //!   a from-scratch [`rlc_moments::tree_sums`]. Checkpoint/rollback and
-//!   [`scoped_edit`](IncrementalAnalysis::scoped_edit) make it the probing
-//!   substrate for the synthesis loops in `rlc-opt`.
+//!   [`scoped_edit`](IncrementalAnalysis::scoped_edit) make it a
+//!   what-if probing substrate; its flat factored sums
+//!   (`rlc_moments::FlatIncrementalSums`) also back `rlc-synth`'s
+//!   wire-sizing probes.
 //!
 //! # Examples
 //!

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use rlc_engine::IncrementalAnalysis;
-use rlc_moments::{tree_sums, IncrementalSums};
+use rlc_moments::tree_sums;
 use rlc_tree::{topology, RlcSection, RlcTree};
 use rlc_units::{Capacitance, Inductance, Resistance};
 
@@ -158,33 +158,31 @@ proptest! {
     }
 
     /// Layout equivalence: the flat-offset path inside
-    /// `IncrementalAnalysis` agrees **bitwise** with the legacy arena
-    /// `IncrementalSums` walker at every node after every operation of a
-    /// random `set_section`/checkpoint/`rollback_to`/`scoped_edit`
+    /// `IncrementalAnalysis` agrees **bitwise** with a from-scratch arena
+    /// `tree_sums` of a mirror tree at every node after every operation of
+    /// a random `set_section`/checkpoint/`rollback_to`/`scoped_edit`
     /// sequence — both replay the same float operation order, so any
     /// divergence is a kernel bug, not rounding.
     #[test]
     fn flat_and_arena_layouts_agree_at_every_step(tree in arb_tree(), ops in arb_ops()) {
         let nodes: Vec<_> = tree.node_ids().collect();
-        // Arena mirror: a plain tree plus the legacy O(depth) walker.
+        // Arena mirror: a plain tree, re-summed from scratch after each op.
         let mut mirror = tree.clone();
-        let mut arena = IncrementalSums::new(&mirror);
         let mut probe = IncrementalAnalysis::new(tree);
         let mut marks: Vec<(rlc_engine::EditCheckpoint, Vec<RlcSection>)> = Vec::new();
 
-        let assert_layouts_agree =
-            |probe: &IncrementalAnalysis, mirror: &RlcTree, arena: &IncrementalSums| {
-                for &node in &nodes {
-                    let (rc, lc) = arena.rc_lc(mirror, node);
-                    prop_assert_eq!(probe.rc(node), rc);
-                    prop_assert_eq!(probe.lc(node), lc);
-                    prop_assert_eq!(
-                        probe.downstream_capacitance(node),
-                        arena.downstream_capacitance(node)
-                    );
-                }
-                Ok(())
-            };
+        let assert_layouts_agree = |probe: &IncrementalAnalysis, mirror: &RlcTree| {
+            let full = tree_sums(mirror);
+            for &node in &nodes {
+                prop_assert_eq!(probe.rc(node), full.rc(node));
+                prop_assert_eq!(probe.lc(node), full.lc(node));
+                prop_assert_eq!(
+                    probe.downstream_capacitance(node),
+                    full.downstream_capacitance(node)
+                );
+            }
+            Ok(())
+        };
 
         for (k, &(pick, r, l, c, mode)) in ops.iter().enumerate() {
             let node = nodes[pick % nodes.len()];
@@ -201,9 +199,7 @@ proptest! {
                         p.set_section(node, section);
                         let mut inner = mirror.clone();
                         *inner.section_mut(node) = section;
-                        let mut inner_sums = arena.clone();
-                        inner_sums.apply_edit(&inner, node);
-                        assert_layouts_agree(p, &inner, &inner_sums)
+                        assert_layouts_agree(p, &inner)
                     })?;
                 }
                 // Checkpoint, edit, sometimes roll back.
@@ -212,13 +208,11 @@ proptest! {
                     marks.push((probe.checkpoint(), saved));
                     probe.set_section(node, section);
                     *mirror.section_mut(node) = section;
-                    arena.apply_edit(&mirror, node);
                     if k % 2 == 0 {
                         let (mark, saved) = marks.pop().expect("just pushed");
                         probe.rollback_to(mark);
                         for (&n, s) in nodes.iter().zip(&saved) {
                             *mirror.section_mut(n) = *s;
-                            arena.apply_edit(&mirror, n);
                         }
                     }
                 }
@@ -228,10 +222,9 @@ proptest! {
                     probe.commit();
                     marks.clear();
                     *mirror.section_mut(node) = section;
-                    arena.apply_edit(&mirror, node);
                 }
             }
-            assert_layouts_agree(&probe, &mirror, &arena)?;
+            assert_layouts_agree(&probe, &mirror)?;
         }
         prop_assert_eq!(probe.tree(), &mirror);
         prop_assert!(probe.cross_check());

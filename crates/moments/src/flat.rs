@@ -21,9 +21,8 @@
 //! **bit-identical** to the arena kernel (enforced by the `flat_vs_arena`
 //! differential suite), so the swap is invisible in every rendered report.
 //!
-//! [`FlatIncrementalSums`] is the factored O(depth)-edit form
-//! ([`IncrementalSums`](crate::IncrementalSums)) ported onto flat offsets;
-//! it preserves the same bit-identity and early-exit contracts.
+//! [`FlatIncrementalSums`] is the factored O(depth)-edit form of the same
+//! sums, bit-identical to a from-scratch pass after every edit.
 
 use rlc_tree::flat::{FlatForest, FlatTree, NO_PARENT};
 use rlc_units::{Capacitance, Inductance, Resistance, Time, TimeSquared};
@@ -216,18 +215,19 @@ fn for_path_root_first(parents: &[u32], node: usize, mut f: impl FnMut(usize)) {
     }
 }
 
-/// The factored tree sums of
-/// [`IncrementalSums`](crate::IncrementalSums), ported onto flat offsets:
-/// subtree capacitances `C_i^T` plus the per-section contribution terms
-/// `R_i·C_i^T` / `L_i·C_i^T`, updatable in O(depth) per section edit.
+/// The tree sums in factored form: subtree capacitances `C_i^T` plus the
+/// per-section contribution terms `R_i·C_i^T` / `L_i·C_i^T`, whose
+/// root-path prefix sums are exactly `T_RC(i)` and `T_LC(i)` (paper eqs.
+/// 52–53), updatable in O(depth) per section edit.
 ///
-/// Kept consistent with an external [`FlatTree`]: mirror every value edit
-/// with [`FlatTree::set_section`] then call
-/// [`apply_edit`](Self::apply_edit). All contracts of the arena-layout
-/// original carry over — exact re-derivation (no accumulated deltas), the
-/// early exit that makes `R`/`L`-only edits O(1), and root-first query
-/// folds that keep every probe bit-identical to a from-scratch
-/// [`tree_sums`](crate::tree_sums).
+/// Editing section `k` perturbs `C_j^T` only for `j` on the root path of
+/// `k`. Kept consistent with an external [`FlatTree`]: mirror every value
+/// edit with [`FlatTree::set_section`] then call
+/// [`apply_edit`](Self::apply_edit). Edits re-derive the affected terms
+/// from current element values (no accumulated deltas, so undo is
+/// lossless), an early exit makes `R`/`L`-only edits O(1), and queries
+/// fold root-first, which keeps every probe bit-identical to a
+/// from-scratch [`tree_sums`](crate::tree_sums).
 ///
 /// # Examples
 ///
@@ -302,9 +302,10 @@ impl FlatIncrementalSums {
     }
 
     /// Re-derives the terms invalidated by a value edit of section `node`,
-    /// walking the flat parent chain bottom-up with the same early exit as
-    /// the arena version: stop as soon as a recomputed subtree capacitance
-    /// is unchanged.
+    /// walking the flat parent chain bottom-up and stopping as soon as a
+    /// recomputed subtree capacitance is unchanged — so a resistance- or
+    /// inductance-only edit costs O(1) and a capacitance edit
+    /// O(depth · branching).
     ///
     /// # Panics
     ///
@@ -429,7 +430,7 @@ impl FlatIncrementalSums {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{tree_sums, IncrementalSums};
+    use crate::tree_sums;
     use rlc_tree::{topology, RlcSection, RlcTree};
 
     fn s(r: f64, l: f64, c: f64) -> RlcSection {
@@ -496,41 +497,67 @@ mod tests {
         }
     }
 
+    /// Every query of `inc` against a from-scratch `tree_sums` of the
+    /// mirrored arena tree, bit for bit.
+    fn assert_matches_full(tree: &RlcTree, flat: &FlatTree, inc: &FlatIncrementalSums) {
+        let full = tree_sums(tree);
+        for id in tree.node_ids() {
+            let i = id.index();
+            assert_eq!(inc.rc(flat, i), full.rc(id), "T_RC mismatch at {id}");
+            assert_eq!(inc.lc(flat, i), full.lc(id), "T_LC mismatch at {id}");
+            assert_eq!(inc.rc_lc(flat, i), (full.rc(id), full.lc(id)));
+            assert_eq!(
+                inc.downstream_capacitance(i),
+                full.downstream_capacitance(id),
+                "C^T mismatch at {id}"
+            );
+        }
+        assert_eq!(inc.to_elmore_sums(flat), full);
+    }
+
+    /// Applies `section` at `id` to both layouts and to `inc`.
+    fn edit(
+        tree: &mut RlcTree,
+        flat: &mut FlatTree,
+        inc: &mut FlatIncrementalSums,
+        id: rlc_tree::NodeId,
+        section: RlcSection,
+    ) {
+        *tree.section_mut(id) = section;
+        flat.set_section(id.index(), &section);
+        inc.apply_edit(flat, id.index());
+    }
+
     #[test]
-    fn flat_incremental_matches_arena_incremental_through_edits() {
+    fn fresh_build_matches_tree_sums() {
+        let (tree, _) = topology::fig5_with(|k| s(k as f64, 2.0 * k as f64, 0.5 * k as f64));
+        let flat = FlatTree::from_tree(&tree);
+        let inc = FlatIncrementalSums::new(&flat);
+        assert_matches_full(&tree, &flat, &inc);
+        assert_eq!(inc.len(), 7);
+        assert!(!inc.is_empty());
+    }
+
+    #[test]
+    fn edit_sequences_stay_bit_identical_to_tree_sums() {
         let mut tree = random(11, 60);
         let mut flat = FlatTree::from_tree(&tree);
-        let mut arena_inc = IncrementalSums::new(&tree);
-        let mut flat_inc = FlatIncrementalSums::new(&flat);
+        let mut inc = FlatIncrementalSums::new(&flat);
         let ids: Vec<_> = tree.node_ids().collect();
         for (k, &id) in ids.iter().enumerate() {
             let scaled = tree.section(id).scaled(1.0 + 0.07 * (k as f64 + 1.0));
-            *tree.section_mut(id) = scaled;
-            flat.set_section(id.index(), &scaled);
-            arena_inc.apply_edit(&tree, id);
-            flat_inc.apply_edit(&flat, id.index());
-            for probe in tree.node_ids() {
-                assert_eq!(
-                    flat_inc.rc(&flat, probe.index()),
-                    arena_inc.rc(&tree, probe),
-                    "T_RC probe {probe} after edit {k}"
-                );
-                assert_eq!(
-                    flat_inc.lc(&flat, probe.index()),
-                    arena_inc.lc(&tree, probe),
-                    "T_LC probe {probe} after edit {k}"
-                );
-                assert_eq!(
-                    flat_inc.rc_lc(&flat, probe.index()),
-                    arena_inc.rc_lc(&tree, probe),
-                );
-                assert_eq!(
-                    flat_inc.downstream_capacitance(probe.index()),
-                    arena_inc.downstream_capacitance(probe),
-                );
-            }
-            assert_eq!(flat_inc.to_elmore_sums(&flat), tree_sums(&tree));
+            edit(&mut tree, &mut flat, &mut inc, id, scaled);
+            assert_matches_full(&tree, &flat, &inc);
         }
+    }
+
+    #[test]
+    fn capacitance_edit_updates_whole_root_path() {
+        let (mut tree, nodes) = topology::fig5(s(2.0, 1.0, 3.0));
+        let mut flat = FlatTree::from_tree(&tree);
+        let mut inc = FlatIncrementalSums::new(&flat);
+        edit(&mut tree, &mut flat, &mut inc, nodes.n7, s(2.0, 1.0, 9.0));
+        assert_matches_full(&tree, &flat, &inc);
     }
 
     #[test]
@@ -545,21 +572,50 @@ mod tests {
     }
 
     #[test]
-    fn rl_only_edit_early_exits_like_the_arena_layout() {
+    fn rl_only_edit_touches_only_the_section() {
         let (mut tree, nodes) = topology::fig5(s(2.0, 1.0, 3.0));
         let mut flat = FlatTree::from_tree(&tree);
         let mut inc = FlatIncrementalSums::new(&flat);
         let before_root = inc.contrib_rc[nodes.n1.index()];
-        let edit = s(50.0, 1.0, 3.0);
-        *tree.section_mut(nodes.n3) = edit;
-        flat.set_section(nodes.n3.index(), &edit);
-        inc.apply_edit(&flat, nodes.n3.index());
+        edit(&mut tree, &mut flat, &mut inc, nodes.n3, s(50.0, 1.0, 3.0));
         assert_eq!(
             inc.contrib_rc[nodes.n1.index()],
             before_root,
             "R-only edit must not touch ancestors"
         );
-        assert_eq!(inc.to_elmore_sums(&flat), tree_sums(&tree));
+        assert_matches_full(&tree, &flat, &inc);
+    }
+
+    #[test]
+    fn round_trip_edit_restores_exactly() {
+        let (mut tree, nodes) = topology::fig5(s(3.0, 2.0, 1.0));
+        let mut flat = FlatTree::from_tree(&tree);
+        let mut inc = FlatIncrementalSums::new(&flat);
+        let pristine = inc.clone();
+        let old = *tree.section(nodes.n2);
+        edit(
+            &mut tree,
+            &mut flat,
+            &mut inc,
+            nodes.n2,
+            s(30.0, 20.0, 10.0),
+        );
+        edit(&mut tree, &mut flat, &mut inc, nodes.n2, old);
+        // Exact recomputation (not delta accumulation) makes undo lossless.
+        assert_eq!(inc, pristine);
+    }
+
+    #[test]
+    fn multiple_roots_are_supported() {
+        let mut tree = RlcTree::new();
+        let a = tree.add_root_section(s(2.0, 0.0, 3.0));
+        let b = tree.add_root_section(s(5.0, 0.0, 7.0));
+        let mut flat = FlatTree::from_tree(&tree);
+        let mut inc = FlatIncrementalSums::new(&flat);
+        edit(&mut tree, &mut flat, &mut inc, a, s(4.0, 0.0, 3.0));
+        assert_eq!(inc.rc(&flat, a.index()).as_seconds(), 12.0);
+        assert_eq!(inc.rc(&flat, b.index()).as_seconds(), 35.0);
+        assert_matches_full(&tree, &flat, &inc);
     }
 
     #[test]
@@ -569,6 +625,7 @@ mod tests {
         let inc = FlatIncrementalSums::new(&flat);
         assert!(inc.is_empty());
         assert_eq!(inc.len(), 0);
+        assert!(inc.to_elmore_sums(&flat).is_empty());
         assert!(forest_sums(&FlatForest::new()).is_empty());
     }
 

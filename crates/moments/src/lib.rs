@@ -25,12 +25,11 @@
 //!   [`tree_sums`] (the legacy walker survives in [`reference`] for
 //!   differential testing).
 //!
-//! * [`IncrementalSums`] / [`FlatIncrementalSums`] — the same two sums in
-//!   a factored per-section form that a single section edit updates in
-//!   O(depth) instead of O(n), bit-identical to a from-scratch
-//!   [`tree_sums`] pass, over the arena and flat layouts respectively.
-//!   This is the substrate of `rlc-engine`'s `IncrementalAnalysis` and the
-//!   synthesis loops in `rlc-opt`.
+//! * [`FlatIncrementalSums`] — the same two sums in a factored
+//!   per-section form over the flat layout, which a single section edit
+//!   updates in O(depth) instead of O(n), bit-identical to a from-scratch
+//!   [`tree_sums`] pass. This is the substrate of `rlc-engine`'s
+//!   `IncrementalAnalysis` and of `rlc-synth`'s wire-sizing probes.
 //!
 //! * [`TransferMoments`] / [`transfer_moments`] — *exact* moments of the
 //!   voltage transfer function at every node, to arbitrary order, via the
@@ -61,10 +60,8 @@
 mod elmore;
 mod exact;
 mod flat;
-mod incremental;
 pub mod reference;
 
 pub use elmore::{tree_sums, ElmoreSums};
 pub use exact::{transfer_moments, TransferMoments};
 pub use flat::{flat_sums, flat_sums_into, forest_sums, forest_sums_into, FlatIncrementalSums};
-pub use incremental::IncrementalSums;

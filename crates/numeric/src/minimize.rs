@@ -1,8 +1,8 @@
 //! Scalar minimization primitives shared by the optimization loops.
 //!
 //! The higher crates (`rlc-opt`, `rlc-synth`) drive every sizing search
-//! through this one kernel so that a width found by repeater sizing, wire
-//! sizing, or the synthesis DP's joint sizing pass comes from *identical*
+//! through this one kernel so that a size found by repeater sizing or the
+//! synthesis DP's joint wire-sizing pass comes from *identical*
 //! bracketing arithmetic — a prerequisite for byte-stable reports.
 
 /// Golden-section minimization over `[lo, hi]`, returning `(argmin, min)`.
@@ -15,9 +15,8 @@
 /// a local minimum.
 ///
 /// This is the search used by every golden-section loop in the workspace:
-/// `rlc-opt`'s repeater sizing, continuous wire sizing, and buffer sizing
-/// (re-exported there as `rlc_opt::search::golden_min`), and the
-/// `rlc-synth` wire width pass.
+/// `rlc-opt`'s repeater sizing, the `rlc-synth` wire width pass, and the
+/// `wire_sizing` example.
 ///
 /// # Examples
 ///

@@ -3,19 +3,15 @@
 //! The paper's stated purpose for a closed-form, continuous RLC delay model
 //! is to power the *synthesis* loops that the classic Elmore delay powers
 //! for RC nets — buffer/repeater insertion, wire sizing, and clock network
-//! design (Section I and references \\[17\]–[28\]). This crate provides those
-//! loops, implemented directly on [`eed`]'s model:
+//! design (Section I and references \\[17\]–[28\]). Buffer insertion in
+//! trees and joint wire sizing live in `rlc-synth`; this crate keeps the
+//! closed-form studies on uniform wires and clock pins:
 //!
 //! * [`repeater`] — uniform repeater insertion on long wires: stage-delay
 //!   evaluation, joint (count, size) optimization, and the classic
 //!   RC-only Bakoğlu closed form as a baseline. Reproduces the qualitative
 //!   finding of the authors' follow-on work (TVLSI 2000): inductance
 //!   reduces the optimal number of repeaters.
-//! * [`buffering`] — van Ginneken's optimal buffer-placement dynamic
-//!   program for trees (the paper's reference \[27\]), with RLC re-timing of
-//!   the chosen placement.
-//! * [`sizing`] — continuous wire sizing by golden-section search on the
-//!   closed-form delay.
 //! * [`skew`] — clock-skew reports over the sinks of a distribution tree.
 //! * [`fom`] — the authors' companion figures of merit [DAC 1998] for
 //!   deciding *when* inductance matters at all.
@@ -42,9 +38,6 @@
 //! # let _ = window;
 //! ```
 
-pub mod buffering;
 pub mod fom;
 pub mod repeater;
-pub mod search;
-pub mod sizing;
 pub mod skew;

@@ -11,11 +11,10 @@
 //! falls out naturally.
 
 use eed::TreeAnalysis;
+use rlc_numeric::minimize::golden_min;
 use rlc_tree::wire::WireModel;
 use rlc_tree::RlcTree;
 use rlc_units::{Capacitance, Resistance, Time};
-
-use crate::search::golden_min;
 
 /// A repeater (inverter) characterized at unit size.
 ///

@@ -24,10 +24,12 @@
 //! * The final `stats` line never mentions the worker count, so shutdown
 //!   reports from differently sized pools are byte-comparable.
 
+use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use rlc_couple::GroupTiming;
@@ -778,9 +780,7 @@ fn serve_streams<R: BufRead, W: Write>(
                 (core.final_stats(), Some(true))
             }
         };
-        output.write_all(line.as_bytes())?;
-        output.write_all(b"\n")?;
-        output.flush()?;
+        write_response(output, line)?;
         if let Some(shutdown) = done {
             return Ok(shutdown);
         }
@@ -800,11 +800,31 @@ pub fn serve_stdio<R: BufRead, W: Write>(
     let shutdown_reported = serve_streams(&core, input, output)?;
     if !shutdown_reported {
         core.drain();
-        output.write_all(core.final_stats().as_bytes())?;
-        output.write_all(b"\n")?;
-        output.flush()?;
+        write_response(output, core.final_stats())?;
     }
     Ok(())
+}
+
+/// Writes one response line in a single `write_all`, then flushes.
+///
+/// A separate write for the newline would leave the peer's last bytes in
+/// a second TCP segment, held back until the first is acknowledged —
+/// a delayed-ACK stall on every response.
+fn write_response<W: Write>(output: &mut W, mut line: String) -> io::Result<()> {
+    line.push('\n');
+    output.write_all(line.as_bytes())?;
+    output.flush()
+}
+
+/// The live-connection registry: a read-half clone of every open
+/// connection, keyed by accept sequence number.
+type PeerRegistry = Mutex<BTreeMap<u64, TcpStream>>;
+
+/// Locks the registry, tolerating poison: a panicked connection thread
+/// must not stop the others from deregistering or shutdown from
+/// reaching idle peers.
+fn lock_peers(peers: &PeerRegistry) -> MutexGuard<'_, BTreeMap<u64, TcpStream>> {
+    peers.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A TCP front end over a shared [`ServeCore`]: one thread per
@@ -814,9 +834,10 @@ pub struct Server {
     listener: TcpListener,
     addr: SocketAddr,
     stopping: Arc<AtomicBool>,
-    /// Read-half clones of every accepted connection, so shutdown can
-    /// deliver EOF to peers parked in `read_request`.
-    peers: Mutex<Vec<TcpStream>>,
+    /// Read-half clones of every live connection, so shutdown can
+    /// deliver EOF to peers parked in `read_request`. Each connection
+    /// removes its own entry when it ends.
+    peers: Arc<PeerRegistry>,
 }
 
 impl Server {
@@ -834,7 +855,7 @@ impl Server {
             listener,
             addr,
             stopping: Arc::new(AtomicBool::new(false)),
-            peers: Mutex::new(Vec::new()),
+            peers: Arc::new(Mutex::new(BTreeMap::new())),
         })
     }
 
@@ -865,25 +886,32 @@ impl Server {
     /// Propagates accept-loop I/O failures; per-connection I/O errors
     /// only end their own connection.
     pub fn run(self) -> io::Result<String> {
-        let mut connections = Vec::new();
-        loop {
+        let mut connections: Vec<JoinHandle<()>> = Vec::new();
+        for id in 0u64.. {
             let (stream, _) = self.listener.accept()?;
             if self.stopping.load(Ordering::SeqCst) {
                 // The wake-up connection from the shutdown handler (or a
                 // late client); stop accepting.
                 break;
             }
+            // Join ended connections as we go, so only live ones are
+            // held for the final join.
+            for ended in connections.extract_if(.., |c| c.is_finished()) {
+                let _ = ended.join();
+            }
             if let Ok(clone) = stream.try_clone() {
-                self.peers.lock().expect("peer registry lock").push(clone);
+                lock_peers(&self.peers).insert(id, clone);
             }
             let core = Arc::clone(&self.core);
             let stopping = Arc::clone(&self.stopping);
+            let peers = Arc::clone(&self.peers);
             let addr = self.addr;
             connections.push(std::thread::spawn(move || {
                 handle_connection(&core, stream, &stopping, addr);
+                lock_peers(&peers).remove(&id);
             }));
         }
-        for peer in self.peers.lock().expect("peer registry lock").iter() {
+        for peer in lock_peers(&self.peers).values() {
             let _ = peer.shutdown(std::net::Shutdown::Read);
         }
         for connection in connections {
@@ -906,13 +934,49 @@ fn handle_connection(
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
     let shutdown = serve_streams(core, &mut reader, &mut writer).unwrap_or(false);
-    // The server's peer registry holds a clone of this socket, so merely
-    // dropping our handles would leave it open; shut it down so the peer
-    // sees EOF as soon as its session ends.
+    // The peer registry still holds a clone of this socket until the
+    // caller deregisters it; shut it down now so the peer sees EOF as
+    // soon as its session ends.
     let _ = writer.shutdown(std::net::Shutdown::Both);
     if shutdown && !stopping.swap(true, Ordering::SeqCst) {
         // First shutdown request: unblock the accept loop with a
         // throwaway connection so `run` can join and report.
         let _ = TcpStream::connect(server_addr);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A `Write` that records every `write` call's bytes separately.
+    #[derive(Default)]
+    struct RecordingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for RecordingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_is_written_in_one_call() {
+        let mut input = io::Cursor::new(b"probe\nmetrics\n".to_vec());
+        let mut output = RecordingWriter::default();
+        serve_stdio(ServeConfig::default(), &mut input, &mut output).unwrap();
+        // probe, metrics, and the final stats line on EOF.
+        assert_eq!(output.writes.len(), 3, "one write per response");
+        for write in &output.writes {
+            let newlines = write.iter().filter(|&&b| b == b'\n').count();
+            assert_eq!(newlines, 1, "{:?}", String::from_utf8_lossy(write));
+            assert_eq!(write.last(), Some(&b'\n'));
+        }
     }
 }

@@ -4,15 +4,18 @@
 //! segments (every stage driven by an inserted buffer) get one shared
 //! width factor `w`: wire resistance scales as `R/w`, wire capacitance as
 //! `C·w`, inductance is width-insensitive to first order, and buffer
-//! input loads do not scale. The factor is found with the same
-//! golden-section kernel as `rlc-opt`'s width search
-//! ([`rlc_numeric::minimize::golden_min`]), and each probe is evaluated
-//! through [`rlc_moments::IncrementalSums`] — a per-section O(depth)
+//! input loads do not scale. The factor is found with the shared
+//! golden-section kernel ([`rlc_numeric::minimize::golden_min`]), and
+//! each probe is evaluated through one [`FlatTree`] plus
+//! [`FlatIncrementalSums`] per stage — a per-section O(depth)
 //! re-derivation instead of a full O(n) stage re-analysis, the probe
 //! primitive whose ≥5× advantage the `synth_throughput` bench guards.
+//! Flat indices equal the stage tree's arena ids, so every query and edit
+//! addresses the same section in both layouts.
 
-use rlc_moments::IncrementalSums;
+use rlc_moments::FlatIncrementalSums;
 use rlc_numeric::minimize::golden_min;
+use rlc_tree::flat::FlatTree;
 use rlc_tree::{NodeId, RlcTree};
 
 use crate::dp::delay_50;
@@ -48,10 +51,11 @@ pub(crate) fn size_width(
         .filter(|(_, s)| s.driver_site.is_some())
         .map(|(k, _)| k)
         .collect();
-    let mut sums: Vec<IncrementalSums> = stages
+    let mut flats: Vec<FlatTree> = stages
         .iter()
-        .map(|s| IncrementalSums::new(&s.tree))
+        .map(|s| FlatTree::from_tree(&s.tree))
         .collect();
+    let mut sums: Vec<FlatIncrementalSums> = flats.iter().map(FlatIncrementalSums::new).collect();
 
     let mut probe = |w: f64| -> f64 {
         for &k in &buffered {
@@ -61,13 +65,13 @@ pub(crate) fn size_width(
             for idx in 0..stages[k].tree.len() {
                 let node = NodeId::from_index(idx);
                 if node != stages[k].root {
-                    sums[k].apply_edit(&stages[k].tree, node);
+                    flats[k].set_section(idx, stages[k].tree.section(node));
+                    sums[k].apply_edit(&flats[k], idx);
                 }
             }
         }
-        let frozen: &[Stage] = stages;
-        evaluate(tree, frozen, buffer, extra, |k, node| {
-            let (rc, lc) = sums[k].rc_lc(&frozen[k].tree, node);
+        evaluate(tree, stages, buffer, extra, |k, node| {
+            let (rc, lc) = sums[k].rc_lc(&flats[k], node.index());
             delay_50(rc.as_seconds(), lc.as_seconds_squared())
         })
         .critical
@@ -126,8 +130,9 @@ mod tests {
         let mut stages = decompose(&tree, 120.0, &b, &[mid]);
         let out = size_width(&tree, &mut stages, &b, &[], 0.5, 4.0);
         // Stages are left at `out.width`; a from-scratch evaluation of the
-        // same trees must reproduce the probed delay exactly (IncrementalSums
-        // is bit-identical to tree_sums at every edit point).
+        // same trees must reproduce the probed delay exactly
+        // (FlatIncrementalSums is bit-identical to tree_sums at every edit
+        // point).
         let full = evaluate_model(&tree, &stages, &b, &[]);
         assert_eq!(full.critical.1, out.delay);
     }

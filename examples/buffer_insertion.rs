@@ -1,6 +1,7 @@
 //! Optimal buffer placement in a branching net — van Ginneken's dynamic
-//! program (the paper's reference [27]) driven by Elmore time constants,
-//! then re-timed with the full RLC model.
+//! program (the paper's reference [27]) run on the equivalent Elmore
+//! delay by `rlc-synth`, compared with the same DP on the net's RC limit
+//! (the classic Elmore objective).
 //!
 //! The scenario: a weak driver, a long trunk, a critical near sink, and a
 //! heavily loaded far branch. The DP discovers that buffering the heavy
@@ -8,8 +9,8 @@
 //!
 //! Run with: `cargo run --example buffer_insertion`
 
-use equivalent_elmore::opt::{buffering, repeater::Repeater};
 use equivalent_elmore::prelude::*;
+use equivalent_elmore::synth::{plan_buffers, score_placement};
 
 fn main() {
     // Build the net: 6-section trunk, then a split into
@@ -29,53 +30,71 @@ fn main() {
         *sec = sec.with_added_capacitance(Capacitance::from_picofarads(1.2));
     }
 
-    let driver = Resistance::from_ohms(800.0);
-    let lib = Repeater::typical_cmos_250nm();
-    let size = 15.0;
+    let driver = 800.0; // Ω
+
+    // A size-15 0.25 µm inverter: 200 Ω output resistance, 30 fF input
+    // capacitance, and its self-loading delay ln 2 · 200 Ω · 22.5 fF.
+    let buffer = BufferSpec {
+        resistance: 200.0,
+        input_capacitance: 30e-15,
+        intrinsic_delay: std::f64::consts::LN_2 * 200.0 * 22.5e-15,
+    };
+    let delay =
+        |sites: &[NodeId]| Time::from_seconds(score_placement(&net, driver, &buffer, sites));
 
     println!(
-        "net: {} sections, {} sinks, driver {driver}",
+        "net: {} sections, {} sinks, driver {driver} Ω",
         net.len(),
         net.leaves().count()
     );
 
     // Baseline: no buffers.
-    let unbuffered_elmore = buffering::elmore_delay_of(&net, &[], driver, &lib, size);
-    let unbuffered_rlc = buffering::evaluate(&net, &[], driver, &lib, size);
-    println!("\nunbuffered: Elmore constant {unbuffered_elmore}, RLC 50% delay {unbuffered_rlc}");
+    let unbuffered = delay(&[]);
+    println!("\nunbuffered: EED 50% delay {unbuffered}");
 
-    // Van Ginneken.
-    let sol = buffering::van_ginneken(&net, driver, &lib, size);
+    // The same DP on the RC limit (every inductance zeroed): what a
+    // classic Elmore-driven van Ginneken would choose.
+    let mut rc_net = net.clone();
+    for id in net.node_ids() {
+        let s = *net.section(id);
+        *rc_net.section_mut(id) = RlcSection::rc(s.resistance(), s.capacitance());
+    }
+    let elmore = plan_buffers(&rc_net, driver, &buffer);
     println!(
-        "\nvan Ginneken places {} buffer(s) at {:?}",
-        sol.buffers.len(),
-        sol.buffers
-    );
-    println!("predicted Elmore constant: {}", sol.elmore_delay);
-
-    // Re-time the chosen placement with the paper's RLC model.
-    let buffered_rlc = buffering::evaluate(&net, &sol.buffers, driver, &lib, size);
-    println!("RLC 50% delay with buffers: {buffered_rlc}");
-    println!(
-        "improvement: {:.1}% (RLC-timed)",
-        (1.0 - buffered_rlc.as_seconds() / unbuffered_rlc.as_seconds()) * 100.0
+        "\nElmore objective places {} buffer(s) at {:?}; EED delay {}",
+        elmore.buffers.len(),
+        elmore.buffers,
+        delay(&elmore.buffers)
     );
 
-    // Fidelity check (the paper's core argument for Elmore-class models):
-    // the Elmore-optimal placement is near-optimal under the better model.
-    // Compare against a few hand perturbations.
+    // The DP on the EED objective itself.
+    let plan = plan_buffers(&net, driver, &buffer);
+    let buffered = Time::from_seconds(plan.cost);
+    println!(
+        "EED objective places {} buffer(s) at {:?}; EED delay {buffered}",
+        plan.buffers.len(),
+        plan.buffers
+    );
+    println!(
+        "improvement over unbuffered: {:.1}%",
+        (1.0 - buffered.as_seconds() / unbuffered.as_seconds()) * 100.0
+    );
+
+    // Fidelity check: no neighbouring placement (one buffer moved to its
+    // parent or first child) should beat the DP's choice.
     let mut better_found = false;
-    for &b in &sol.buffers {
+    for &b in &plan.buffers {
         for candidate in [net.parent(b), net.children(b).first().copied()] {
             let Some(alt) = candidate else { continue };
-            let mut moved = sol.buffers.clone();
+            let mut moved = plan.buffers.clone();
             for slot in &mut moved {
                 if *slot == b {
                     *slot = alt;
                 }
             }
-            let d = buffering::evaluate(&net, &moved, driver, &lib, size);
-            if d < buffered_rlc * 0.98 {
+            moved.sort_unstable_by_key(|n| n.index());
+            moved.dedup();
+            if delay(&moved) < buffered * 0.98 {
                 better_found = true;
             }
         }
@@ -83,9 +102,9 @@ fn main() {
     println!(
         "fidelity: {}",
         if better_found {
-            "a neighbouring placement beats the Elmore choice by >2% (rare)"
+            "a neighbouring placement beats the DP choice by >2% (unexpected)"
         } else {
-            "no neighbouring placement beats the Elmore choice by >2% — high fidelity"
+            "no neighbouring placement beats the DP choice by >2%"
         }
     );
 }

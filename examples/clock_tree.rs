@@ -13,6 +13,7 @@
 //!
 //! Run with: `cargo run --example clock_tree`
 
+use equivalent_elmore::opt::skew::clock_skew_at;
 use equivalent_elmore::prelude::*;
 
 /// Builds an H-tree: at each level the wire halves in length and the
@@ -94,13 +95,9 @@ fn main() {
         wave.overshoot_fraction(1.0) * 100.0
     );
 
-    // Clock skew under the model: max − min arrival over all pins (zero for
-    // a perfectly balanced tree; interesting once the tree is perturbed).
-    let arrivals: Vec<Time> = pins.iter().map(|&p| timing.delay_50(p)).collect();
-    let max = arrivals.iter().cloned().fold(Time::ZERO, Time::max);
-    let min = arrivals
-        .iter()
-        .cloned()
-        .fold(Time::from_seconds(f64::INFINITY), Time::min);
-    println!("\nclock skew across {} pins: {}", pins.len(), max - min);
+    // Clock skew under the model: latest − earliest arrival over all pins
+    // (zero for a perfectly balanced tree; interesting once the tree is
+    // perturbed).
+    let skew = clock_skew_at(&net, &pins).expect("clock pins have dynamics");
+    println!("\nclock skew across {} pins: {}", pins.len(), skew.skew());
 }

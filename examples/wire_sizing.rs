@@ -12,6 +12,7 @@
 //!
 //! Run with: `cargo run --example wire_sizing`
 
+use equivalent_elmore::numeric::minimize::golden_min;
 use equivalent_elmore::prelude::*;
 
 const LINE_LENGTH_UM: f64 = 3000.0;
@@ -48,16 +49,8 @@ fn main() {
         );
     }
 
-    // The library's sizing optimizer (golden-section on the closed form).
-    let sized = equivalent_elmore::opt::sizing::optimal_width(
-        &WireModel::MINIMUM_WIDTH_SIGNAL,
-        LINE_LENGTH_UM,
-        Capacitance::from_femtofarads(LOAD),
-        1.0,
-        40.0,
-    );
-    let best = sized.width;
-    let best_delay = delay_model(best);
+    // Golden-section search on the closed form, over widths 1–40.
+    let (best, best_delay) = golden_min(1.0, 40.0, delay_model);
     println!("\noptimal width factor (golden-section on the closed form): {best:.2}");
     println!("model delay at optimum: {}", Time::from_seconds(best_delay));
 
