@@ -239,7 +239,8 @@ fn file_name(path: &Path) -> String {
 
 /// Recursively collects `.rs` files under `dir` as
 /// `(workspace-relative forward-slash path, absolute path)` pairs.
-/// Hidden directories, `target/`, and `vendor/` are never entered.
+/// Hidden directories, `target/`, and `vendor/` are never entered, and
+/// neither is a nested workspace (see [`is_nested_workspace`]).
 fn collect_sources(root: &Path, dir: &Path, out: &mut Vec<(String, PathBuf)>) -> io::Result<()> {
     let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)?
         .filter_map(|e| e.ok().map(|e| e.path()))
@@ -248,7 +249,11 @@ fn collect_sources(root: &Path, dir: &Path, out: &mut Vec<(String, PathBuf)>) ->
     for entry in entries {
         let name = file_name(&entry);
         if entry.is_dir() {
-            if name.starts_with('.') || name == "target" || name == "vendor" {
+            if name.starts_with('.')
+                || name == "target"
+                || name == "vendor"
+                || is_nested_workspace(&entry)
+            {
                 continue;
             }
             collect_sources(root, &entry, out)?;
@@ -264,9 +269,53 @@ fn collect_sources(root: &Path, dir: &Path, out: &mut Vec<(String, PathBuf)>) ->
     Ok(())
 }
 
+/// Whether `dir` holds a `Cargo.toml` declaring its own `[workspace]`.
+/// Cargo never builds such a directory as a member of the enclosing
+/// workspace (it is a separate build with its own lock file and
+/// profile), so its sources are outside the audited contract. The walk
+/// only asks this of subdirectories, never of the audit root itself.
+fn is_nested_workspace(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|manifest| manifest.lines().any(|l| l.trim() == "[workspace]"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nested_workspaces_are_skipped_but_members_are_audited() {
+        let root = std::env::temp_dir().join(format!("rlc-audit-nested-{}", std::process::id()));
+        let write = |rel: &str, text: &str| {
+            let path = root.join(rel);
+            std::fs::create_dir_all(path.parent().expect("has a parent")).expect("mkdir");
+            std::fs::write(path, text).expect("write fixture file");
+        };
+        let hazard = "use std::collections::HashMap;\npub type M = HashMap<u8, u8>;\n";
+        write("Cargo.toml", "[workspace]\nmembers = [\"crates/*\"]\n");
+        write("crates/member/Cargo.toml", "[package]\nname = \"member\"\n");
+        write("crates/member/src/lib.rs", hazard);
+        write(
+            "bench/Cargo.toml",
+            "[package]\nname = \"bench\"\n\n[workspace]\n",
+        );
+        write("bench/src/main.rs", hazard);
+        std::fs::create_dir_all(root.join("tests/schemas")).expect("mkdir schemas");
+
+        let report = run(&AuditOptions::new(&root));
+        let _ = std::fs::remove_dir_all(&root);
+        let report = report.expect("audit run");
+        let hits: Vec<(&str, &str)> = report
+            .findings
+            .iter()
+            .map(|f| (f.code.as_str(), f.file.as_str()))
+            .collect();
+        assert_eq!(hits, vec![("A101", "crates/member/src/lib.rs")]);
+        assert_eq!(
+            report.files, 1,
+            "the nested workspace's sources are not read"
+        );
+    }
 
     #[test]
     fn classify_scopes_paths() {

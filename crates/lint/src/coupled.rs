@@ -27,7 +27,7 @@ use rlc_tree::coupled::CoupledGroup;
 use rlc_tree::netlist::Netlist;
 use rlc_units::Capacitance;
 
-use crate::analyze::{is_nan_spelling, lint_deck_with, LintConfig};
+use crate::analyze::{is_nan_spelling, lint_and_parse_with, LintConfig};
 use crate::report::{Diagnostic, LintReport};
 use crate::rules::Rule;
 
@@ -128,7 +128,8 @@ pub fn lint_coupled_deck_with(deck: &str, config: &LintConfig) -> LintReport {
             }
             None => format!("net#{}", net_idx + 1),
         };
-        for d in lint_deck_with(&chunk, config).diagnostics() {
+        let (report, parsed) = lint_and_parse_with(&chunk, config);
+        for d in report.diagnostics() {
             let mut d = d.clone();
             match &d.node {
                 Some(node) => d.node = Some(format!("{label}.{node}")),
@@ -137,7 +138,7 @@ pub fn lint_coupled_deck_with(deck: &str, config: &LintConfig) -> LintReport {
             }
             diagnostics.push(d);
         }
-        netlists.push(Netlist::parse(&chunk).ok());
+        netlists.push(parsed.ok());
     }
 
     // Coupling-reference resolution (L401/L402/L404) and aggressor tally.

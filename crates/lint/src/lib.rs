@@ -57,7 +57,10 @@ mod report;
 mod rules;
 mod synth;
 
-pub use analyze::{lint_deck, lint_deck_with, lint_path, lint_tree, lint_tree_with, LintConfig};
+pub use analyze::{
+    lint_and_parse, lint_and_parse_with, lint_deck, lint_deck_with, lint_path, lint_tree,
+    lint_tree_with, LintConfig,
+};
 pub use coupled::{lint_coupled_deck, lint_coupled_deck_with, lint_coupled_group};
 pub use report::{render_document, Diagnostic, LintReport};
 pub use rules::{Rule, Severity, Tier};

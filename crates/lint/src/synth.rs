@@ -14,10 +14,9 @@
 //! error-free iff [`SynthDeck::parse`] accepts it** — enforced by the
 //! synthesis cases in `tests/parser_agreement.rs`.
 
-use rlc_tree::netlist::Netlist;
 use rlc_units::{Capacitance, Resistance, Time};
 
-use crate::analyze::{is_nan_spelling, lint_deck_with, LintConfig};
+use crate::analyze::{is_nan_spelling, lint_and_parse_with, LintConfig};
 use crate::report::{Diagnostic, LintReport};
 use crate::rules::Rule;
 
@@ -30,7 +29,8 @@ pub fn lint_synth_deck(deck: &str) -> LintReport {
 pub fn lint_synth_deck_with(deck: &str, config: &LintConfig) -> LintReport {
     let _span = rlc_obs::span!("lint.synth_deck");
     rlc_obs::counter!("lint.synth_decks");
-    let mut diagnostics: Vec<Diagnostic> = lint_deck_with(deck, config).diagnostics().to_vec();
+    let (report, parsed) = lint_and_parse_with(deck, config);
+    let mut diagnostics: Vec<Diagnostic> = report.diagnostics().to_vec();
 
     let mut lib_names: Vec<String> = Vec::new();
     let mut use_cards: Vec<(usize, String)> = Vec::new();
@@ -171,7 +171,7 @@ pub fn lint_synth_deck_with(deck: &str, config: &LintConfig) -> LintReport {
     // `.require` nodes resolve against the parsed element portion. When
     // the netlist itself does not parse, the base pass above has already
     // errored and node resolution is moot.
-    if let Ok(netlist) = Netlist::parse(deck) {
+    if let Ok(netlist) = parsed {
         for (lineno, name) in &requires {
             if netlist.node(name).is_none() {
                 diagnostics.push(Diagnostic {

@@ -130,9 +130,9 @@ impl ServeCore {
     /// Live cache counters, summed over the single-net and coupled-group
     /// caches (one cache subsystem as far as reports are concerned).
     pub fn cache_stats(&self) -> CacheStats {
-        let net = self.cache.lock().expect("cache lock").stats();
-        let couple = self.couple_cache.lock().expect("couple cache lock").stats();
-        let synth = self.synth_cache.lock().expect("synth cache lock").stats();
+        let net = lock(&self.cache).stats();
+        let couple = lock(&self.couple_cache).stats();
+        let synth = lock(&self.synth_cache).stats();
         CacheStats {
             hits: net.hits + couple.hits + synth.hits,
             misses: net.misses + couple.misses + synth.misses,
@@ -168,10 +168,15 @@ impl ServeCore {
         rlc_obs::counter!("serve.request");
         // Lint before the cache lookup: the report depends only on the
         // deck text, so hits and misses carry identical annotations and
-        // the deny gate cannot be dodged by a warm cache.
-        let report = trace.time("lint", || match request.lint {
-            LintMode::Off => None,
-            LintMode::Warn | LintMode::Deny => Some(rlc_lint::lint_deck(&request.deck)),
+        // the deny gate cannot be dodged by a warm cache. Linting parses
+        // the deck too (one front-end pass yields both), so with lint on
+        // the parse stage below only derives the cache key.
+        let (report, linted) = trace.time("lint", || match request.lint {
+            LintMode::Off => (None, None),
+            LintMode::Warn | LintMode::Deny => {
+                let (report, parsed) = rlc_lint::lint_and_parse(&request.deck);
+                (Some(report), Some(parsed))
+            }
         });
         match (request.lint, &report) {
             (LintMode::Deny, Some(report)) if !report.passes(true) => {
@@ -187,13 +192,16 @@ impl ServeCore {
             .filter(|r| !r.is_spotless())
             .map(|r| r.annotation_json());
         let annotation = annotation.as_deref();
-        // Parse + canonicalize: the canonical deck is the cache address.
+        // Parse (unless lint already did) + canonicalize: the canonical
+        // deck is the cache address.
         let parsed = trace.time("parse", || {
-            Netlist::parse(&request.deck).map(|netlist| {
-                let tree = netlist.into_tree();
-                let key = ResultCache::key(request.model.id(), &tree.canonical_deck());
-                (tree, key)
-            })
+            linted
+                .unwrap_or_else(|| Netlist::parse(&request.deck))
+                .map(|netlist| {
+                    let tree = netlist.into_tree();
+                    let key = ResultCache::tree_key(request.model.id(), &tree);
+                    (tree, key)
+                })
         });
         let (tree, key) = match parsed {
             Ok(parsed) => parsed,
@@ -210,10 +218,7 @@ impl ServeCore {
             }
         };
         let cached = trace.time("cache", || {
-            self.cache
-                .lock()
-                .expect("cache lock")
-                .get(&key, self.telemetry.now())
+            lock(&self.cache).get(&key, self.telemetry.now())
         });
         if let Some(mut timing) = cached {
             // Content-addressed: the cached circuit answers under the
@@ -247,11 +252,7 @@ impl ServeCore {
                 trace.add_stage("admission", timing.queue_ns);
                 trace.add_stage("engine", timing.exec_ns);
                 if let Ok(timing) = &result {
-                    self.cache.lock().expect("cache lock").insert(
-                        key,
-                        timing.clone(),
-                        self.telemetry.now(),
-                    );
+                    lock(&self.cache).insert(key, timing.clone(), self.telemetry.now());
                 }
                 let outcome = match &result {
                     Ok(_) => "ok",
@@ -327,10 +328,7 @@ impl ServeCore {
             }
         };
         let cached = trace.time("cache", || {
-            self.couple_cache
-                .lock()
-                .expect("couple cache lock")
-                .get(&key, self.telemetry.now())
+            lock(&self.couple_cache).get(&key, self.telemetry.now())
         });
         if let Some(mut timing) = cached {
             // Content-addressed: the cached group answers under the
@@ -364,11 +362,7 @@ impl ServeCore {
                 trace.add_stage("admission", timing.queue_ns);
                 trace.add_stage("engine", timing.exec_ns);
                 if let Ok(timing) = &result {
-                    self.couple_cache.lock().expect("couple cache lock").insert(
-                        key,
-                        timing.clone(),
-                        self.telemetry.now(),
-                    );
+                    lock(&self.couple_cache).insert(key, timing.clone(), self.telemetry.now());
                 }
                 let outcome = match &result {
                     Ok(_) => "couple",
@@ -447,10 +441,7 @@ impl ServeCore {
             }
         };
         let cached = trace.time("cache", || {
-            self.synth_cache
-                .lock()
-                .expect("synth cache lock")
-                .get(&key, self.telemetry.now())
+            lock(&self.synth_cache).get(&key, self.telemetry.now())
         });
         if let Some(mut timing) = cached {
             // Content-addressed: the cached net answers under the
@@ -484,11 +475,7 @@ impl ServeCore {
                 trace.add_stage("admission", timing.queue_ns);
                 trace.add_stage("engine", timing.exec_ns);
                 if let Ok(timing) = &result {
-                    self.synth_cache.lock().expect("synth cache lock").insert(
-                        key,
-                        timing.clone(),
-                        self.telemetry.now(),
-                    );
+                    lock(&self.synth_cache).insert(key, timing.clone(), self.telemetry.now());
                 }
                 let outcome = match &result {
                     Ok(_) => "synth",
@@ -820,11 +807,28 @@ fn write_response<W: Write>(output: &mut W, mut line: String) -> io::Result<()> 
 /// connection, keyed by accept sequence number.
 type PeerRegistry = Mutex<BTreeMap<u64, TcpStream>>;
 
-/// Locks the registry, tolerating poison: a panicked connection thread
-/// must not stop the others from deregistering or shutdown from
-/// reaching idle peers.
-fn lock_peers(peers: &PeerRegistry) -> MutexGuard<'_, BTreeMap<u64, TcpStream>> {
-    peers.lock().unwrap_or_else(PoisonError::into_inner)
+/// Locks a shared structure, tolerating poison. A thread that panicked
+/// while holding a cache or the peer registry must not take every later
+/// request down with it. Recovering is sound for both: every cache update
+/// leaves a map of complete entries and a hit needs a full-key match, so a
+/// half-finished update can at worst miscount a statistic or cost a
+/// recomputation; and a panicked connection must not stop the others from
+/// deregistering or shutdown from reaching idle peers.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Accepts one connection with Nagle's algorithm off. Responses are
+/// single writes, and a pipelining peer sends its next request before it
+/// reads the previous answer; with Nagle on, a response would wait for
+/// the ACK of the one before it, which the peer's delayed ACK holds back
+/// until its next request goes out.
+fn accept_connection(listener: &TcpListener) -> io::Result<TcpStream> {
+    let (stream, _) = listener.accept()?;
+    // Best effort: a socket that refuses the option still serves, just
+    // with Nagle's batching, so it must not stop the accept loop.
+    let _ = stream.set_nodelay(true);
+    Ok(stream)
 }
 
 /// A TCP front end over a shared [`ServeCore`]: one thread per
@@ -888,7 +892,7 @@ impl Server {
     pub fn run(self) -> io::Result<String> {
         let mut connections: Vec<JoinHandle<()>> = Vec::new();
         for id in 0u64.. {
-            let (stream, _) = self.listener.accept()?;
+            let stream = accept_connection(&self.listener)?;
             if self.stopping.load(Ordering::SeqCst) {
                 // The wake-up connection from the shutdown handler (or a
                 // late client); stop accepting.
@@ -900,7 +904,7 @@ impl Server {
                 let _ = ended.join();
             }
             if let Ok(clone) = stream.try_clone() {
-                lock_peers(&self.peers).insert(id, clone);
+                lock(&self.peers).insert(id, clone);
             }
             let core = Arc::clone(&self.core);
             let stopping = Arc::clone(&self.stopping);
@@ -908,10 +912,10 @@ impl Server {
             let addr = self.addr;
             connections.push(std::thread::spawn(move || {
                 handle_connection(&core, stream, &stopping, addr);
-                lock_peers(&peers).remove(&id);
+                lock(&peers).remove(&id);
             }));
         }
-        for peer in lock_peers(&self.peers).values() {
+        for peer in lock(&self.peers).values() {
             let _ = peer.shutdown(std::net::Shutdown::Read);
         }
         for connection in connections {
@@ -964,6 +968,48 @@ mod tests {
         fn flush(&mut self) -> io::Result<()> {
             Ok(())
         }
+    }
+
+    #[test]
+    fn accepted_connections_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let accepted = accept_connection(&listener).unwrap();
+        assert!(accepted.nodelay().unwrap());
+        drop(client);
+    }
+
+    #[test]
+    fn a_panic_under_the_cache_lock_does_not_poison_later_requests() {
+        let core = Arc::new(ServeCore::new(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        }));
+        let deck = ".input in\nR1 in n1 25\nC1 n1 0 0.5p\n";
+        let expected = core.analyze(AnalyzeRequest::new("a", deck));
+        assert!(expected.contains("\"cache\": \"miss\""), "{expected}");
+
+        let holder = Arc::clone(&core);
+        let panicked = std::thread::spawn(move || {
+            let _guard = holder.cache.lock().unwrap();
+            panic!("injected panic while holding the result cache");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(core.cache.is_poisoned());
+
+        // The hit path reads the poisoned cache and answers as before.
+        let again = core.analyze(AnalyzeRequest::new("a", deck));
+        assert_eq!(again, expected.replace("\"miss\"", "\"hit\""));
+        // The miss path inserts into it.
+        let other = core.analyze(AnalyzeRequest::new(
+            "b",
+            ".input in\nR1 in n1 50\nC1 n1 0 1p\n",
+        ));
+        assert!(other.contains("\"cache\": \"miss\""), "{other}");
+        assert!(other.contains("\"status\": \"ok\""), "{other}");
+        assert_eq!(core.cache_stats().entries, 2);
+        core.drain();
     }
 
     #[test]

@@ -53,8 +53,10 @@
 
 mod builder;
 pub mod coupled;
+pub mod deck;
 mod error;
 pub mod flat;
+mod names;
 pub mod netlist;
 mod section;
 pub mod synth;

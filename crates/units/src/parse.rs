@@ -137,22 +137,22 @@ pub(crate) fn parse_engineering(s: &str, unit: &str) -> Result<f64, ParseQuantit
     if s.is_empty() {
         return Err(ParseQuantityError::new(original));
     }
-    // Split numeric head from the suffix.
-    let split = s
-        .char_indices()
-        .find(|&(i, c)| {
-            !(c.is_ascii_digit()
-                || c == '.'
-                || c == '-'
-                || c == '+'
-                || (matches!(c, 'e' | 'E')
-                    && s[i + c.len_utf8()..]
-                        .chars()
-                        .next()
-                        .is_some_and(|n| n.is_ascii_digit() || n == '-' || n == '+')))
+    // Split numeric head from the suffix. Every character the head may
+    // hold is ASCII, so a byte scan stops at the same (char-boundary)
+    // index a char scan would: a multi-byte character's lead byte is
+    // never accepted.
+    let bytes = s.as_bytes();
+    let split = (0..bytes.len())
+        .find(|&i| {
+            let b = bytes[i];
+            !(b.is_ascii_digit()
+                || matches!(b, b'.' | b'-' | b'+')
+                || (matches!(b, b'e' | b'E')
+                    && bytes
+                        .get(i + 1)
+                        .is_some_and(|n| n.is_ascii_digit() || matches!(n, b'-' | b'+'))))
         })
-        .map(|(i, _)| i)
-        .unwrap_or(s.len());
+        .unwrap_or(bytes.len());
     let (head, tail) = s.split_at(split);
     let number: f64 = head
         .parse()
