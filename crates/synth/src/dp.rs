@@ -145,7 +145,6 @@ fn domination(x: &Candidate, y: &Candidate) -> Option<bool> {
     if x.cap > y.cap {
         return None;
     }
-    let strictly_under = |a: f64, b: f64| a < b * (1.0 - STRICT_MARGIN);
     let mut every_attach_strict = true;
     for s in &x.attaches {
         let mut covered = false;
@@ -167,6 +166,24 @@ fn domination(x: &Candidate, y: &Candidate) -> Option<bool> {
     Some(strictly_under(x.cap, y.cap) || every_attach_strict)
 }
 
+/// `a` is below `b` by more than [`STRICT_MARGIN`].
+fn strictly_under(a: f64, b: f64) -> bool {
+    a < b * (1.0 - STRICT_MARGIN)
+}
+
+/// Whether [`prune`] drops `y` for `x`: `x` dominates `y` and is either
+/// strictly better or tie-break preferred.
+///
+/// Over non-negative loads and sums this is a strict partial order. It is
+/// transitive, because dominance and the tie-break are, and a strict
+/// margin anywhere along a chain carries to its ends (`a ≤ b` and
+/// `b < c·(1 − m)` give `a < c·(1 − m)`, and so does the other way
+/// round). It is irreflexive, because a strict cover raises an
+/// attachment's `t_rc` or arrival, so no candidate covers itself strictly.
+fn prunes(x: &Candidate, y: &Candidate) -> bool {
+    domination(x, y).is_some_and(|strict| strict || tie_prefer(&x.buffers, &y.buffers))
+}
+
 /// Removes dominated candidates in place, deterministically.
 ///
 /// A candidate is dropped only when the dominator certifies a *strictly*
@@ -176,6 +193,12 @@ fn domination(x: &Candidate, y: &Candidate) -> Option<bool> {
 /// covered component is strictly smaller). This is what lets the DP's
 /// chosen placement match the exhaustively tie-broken optimum
 /// bit-for-bit, not just its cost.
+///
+/// As [`prunes`] is a strict partial order, the survivors are exactly the
+/// candidates that no other candidate prunes, whatever the order of the
+/// comparisons: a candidate something prunes is pruned by a survivor too.
+/// So a candidate that would be pruned may be left out before the call
+/// without changing its outcome.
 fn prune(cands: &mut Vec<Candidate>) {
     let n = cands.len();
     let mut keep = vec![true; n];
@@ -187,10 +210,8 @@ fn prune(cands: &mut Vec<Candidate>) {
             if i == j || !keep[j] {
                 continue;
             }
-            if let Some(strict) = domination(&cands[i], &cands[j]) {
-                if strict || tie_prefer(&cands[i].buffers, &cands[j].buffers) {
-                    keep[j] = false;
-                }
+            if prunes(&cands[i], &cands[j]) {
+                keep[j] = false;
             }
         }
     }
@@ -305,29 +326,50 @@ impl Dp<'_> {
         if forced == Some(false) {
             return;
         }
-        let buffered: Vec<Candidate> = cands
+        let buffered = |cand: &Candidate, arrival: f64| {
+            let mut buffers = cand.buffers.clone();
+            buffers.push(id);
+            Candidate {
+                cap: self.buffer.input_capacitance,
+                buffers,
+                attaches: vec![Attach {
+                    t_rc: 0.0,
+                    t_lc: 0.0,
+                    arrival,
+                }],
+            }
+        };
+        let arrivals: Vec<f64> = cands
             .iter()
-            .map(|cand| {
-                let cost = completion_cost(cand, self.buffer.resistance);
-                let mut buffers = cand.buffers.clone();
-                buffers.push(id);
-                Candidate {
-                    cap: self.buffer.input_capacitance,
-                    buffers,
-                    attaches: vec![Attach {
-                        t_rc: 0.0,
-                        t_lc: 0.0,
-                        arrival: self.buffer.intrinsic_delay + cost,
-                    }],
-                }
-            })
+            .map(|cand| self.buffer.intrinsic_delay + completion_cost(cand, self.buffer.resistance))
             .collect();
         if forced == Some(true) {
-            *cands = buffered;
-        } else {
-            cands.extend(buffered);
-            prune(cands);
+            *cands = cands
+                .iter()
+                .zip(arrivals)
+                .map(|(c, a)| buffered(c, a))
+                .collect();
+            return;
         }
+        // The buffered choices share one load and one attachment at zero
+        // sums, so the earliest arrival prunes every choice arriving
+        // later than it by more than the strict margin. Only the few
+        // choices left are built and compared among themselves; what
+        // they prune could not survive `prune` anyway.
+        let earliest = arrivals.iter().copied().fold(f64::INFINITY, f64::min);
+        let mut fresh: Vec<Candidate> = cands
+            .iter()
+            .zip(arrivals)
+            .filter(|&(_, arrival)| !strictly_under(earliest, arrival))
+            .map(|(c, a)| buffered(c, a))
+            .collect();
+        let keep: Vec<bool> = (0..fresh.len())
+            .map(|y| !(0..fresh.len()).any(|x| x != y && prunes(&fresh[x], &fresh[y])))
+            .collect();
+        let mut it = keep.iter();
+        fresh.retain(|_| *it.next().unwrap_or(&true));
+        cands.extend(fresh);
+        prune(cands);
     }
 }
 
@@ -347,11 +389,18 @@ pub struct Placement {
 ///
 /// # Panics
 ///
-/// Panics if the tree is empty.
+/// Panics if the tree is empty, or the buffer's input capacitance or
+/// intrinsic delay is negative or not finite.
 pub fn plan_buffers(tree: &RlcTree, driver_r_ohms: f64, buffer: &BufferSpec) -> Placement {
     let _span = rlc_obs::span!("synth.dp.plan");
     rlc_obs::counter!("synth.dp.plans");
     assert!(!tree.is_empty(), "cannot buffer an empty tree");
+    // Pruning relies on non-negative loads and arrivals (see `prunes`).
+    let non_negative = |v: f64| v.is_finite() && v >= 0.0;
+    assert!(
+        non_negative(buffer.input_capacitance) && non_negative(buffer.intrinsic_delay),
+        "buffer input capacitance and intrinsic delay must be finite and non-negative"
+    );
     let dp = Dp {
         tree,
         buffer,
@@ -567,6 +616,13 @@ mod tests {
         assert!(plan.buffers.is_empty(), "got {:?}", plan.buffers);
         let unbuffered = score_placement(&tree, 30.0, &spec(500.0, 5e-14, 5e-9), &[]);
         assert_eq!(plan.cost, unbuffered);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn negative_buffer_load_is_rejected() {
+        let (tree, _) = topology::single_line(2, section(10.0, 0.1, 0.05));
+        plan_buffers(&tree, 30.0, &spec(500.0, -5e-14, 5e-9));
     }
 
     #[test]

@@ -54,9 +54,11 @@ use rlc_tree::{NodeId, RlcTree};
 pub struct BufferSpec {
     /// Driver (output) resistance, ohms. Must be positive.
     pub resistance: f64,
-    /// Input capacitance presented upstream, farads.
+    /// Input capacitance presented upstream, farads. Must be finite and
+    /// non-negative.
     pub input_capacitance: f64,
-    /// Intrinsic input-to-output delay, seconds.
+    /// Intrinsic input-to-output delay, seconds. Must be finite and
+    /// non-negative.
     pub intrinsic_delay: f64,
 }
 
