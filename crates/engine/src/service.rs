@@ -1,5 +1,5 @@
-//! The long-running engine service: a bounded submission queue in front of
-//! a persistent worker pool, with graceful drain.
+//! The long-running engine service: bounded admission in front of a fixed
+//! number of execution slots, with graceful drain.
 //!
 //! [`Engine::run`](crate::Engine::run) is a one-shot fan-out: it owns its
 //! workers for the duration of one batch and returns when the whole corpus
@@ -7,44 +7,72 @@
 //! jobs to arrive one at a time, forever, from many producers — which
 //! raises two problems `run` never has:
 //!
-//! * **Overload.** Producers can outrun the pool. An unbounded queue turns
-//!   that into unbounded memory and unbounded latency; [`EngineService`]
-//!   instead bounds *outstanding* work (queued + in-flight) and rejects
-//!   at admission with a typed [`EngineError::Overloaded`].
+//! * **Overload.** Producers can outrun the engine. An unbounded queue
+//!   turns that into unbounded memory and unbounded latency;
+//!   [`EngineService`] instead bounds *outstanding* work (waiting +
+//!   executing) and rejects at admission with a typed
+//!   [`EngineError::Overloaded`].
 //! * **Shutdown.** A service must stop without dropping accepted work.
 //!   [`EngineService::drain`] stops admission (late submissions get
 //!   [`EngineError::ShuttingDown`]) and waits until every accepted job has
 //!   delivered its result; [`EngineService::shutdown`] additionally joins
-//!   the workers and returns the final [`ServiceStats`].
+//!   the pool threads and returns the final [`ServiceStats`].
 //!
-//! Results are delivered through a per-job [`JobTicket`], so concurrent
-//! submitters never contend on a shared report.
+//! # Two ways in, one execution body
+//!
+//! * **Caller-runs** ([`call_spec`](EngineService::call_spec) and its
+//!   couple/synth siblings): the job runs on the calling thread. A caller
+//!   that must wait for its answer anyway gains nothing from handing the
+//!   job to another thread — the handoff would cost two sleep/wake pairs
+//!   for work that often takes a microsecond. This is the path `rlc-serve`
+//!   uses for every engine verb.
+//! * **Submit** ([`submit_spec`](EngineService::submit_spec) and its
+//!   siblings): the job is queued for a pool of worker threads and its
+//!   result comes back through a per-job [`JobTicket`], so concurrent
+//!   submitters never contend on a shared report. The pool is started by
+//!   the first submission; a service used only through the caller path
+//!   never spawns a thread.
+//!
+//! Both paths share one admission policy, one set of counters and
+//! histograms, and the same `workers` execution slots: at most `workers`
+//! jobs execute at once, whichever path admitted them. A caller that finds
+//! every slot busy waits for one, and that wait is its
+//! [`JobTiming::queue_ns`] — exactly as a queued job's wait for a worker
+//! is. Deadlines, holds, telemetry and delivery run in one function for
+//! both paths.
 //!
 //! # Examples
 //!
 //! ```
-//! use rlc_engine::{EngineService, ServiceConfig};
+//! use rlc_engine::{EngineService, JobSpec, ServiceConfig};
 //!
 //! let service = EngineService::start(ServiceConfig {
 //!     workers: 2,
 //!     capacity: 8,
 //!     ..ServiceConfig::default()
 //! });
+//! // Runs on this thread; the outer `Result` is the admission verdict.
+//! let (result, _timing) = service
+//!     .call_spec(JobSpec::deck("line", "R1 in n1 25\nC1 n1 0 0.5p\n"))
+//!     .expect("service has room");
+//! assert_eq!(result.expect("analyzes fine").sections, 1);
+//! // Queued for the pool; redeem the ticket later.
 //! let ticket = service
 //!     .submit("line", "R1 in n1 25\nC1 n1 0 0.5p\n")
 //!     .expect("queue has room");
 //! let timing = ticket.wait().expect("analyzes fine");
 //! assert_eq!(timing.sections, 1);
 //! let stats = service.shutdown();
-//! assert_eq!(stats.completed, 1);
+//! assert_eq!(stats.completed, 2);
 //! ```
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 // Under `--cfg loom` the admission-slot protocol routes its primitives
 // through the `loom` crate so `tests/loom_service.rs` can model-check the
-// submit/drain/shutdown handoff (see that test and `vendor/loom`).
+// submit/call/drain/shutdown handoff (see that test and `vendor/loom`).
 #[cfg(loom)]
 use loom::sync::atomic::{AtomicU64, Ordering};
 #[cfg(loom)]
@@ -77,11 +105,13 @@ use crate::EngineError;
 /// Sizing of an [`EngineService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// Worker threads; `0` sizes to `std::thread::available_parallelism`.
+    /// Execution slots: the most jobs that run at once, on either path
+    /// (and the pool size once a submission starts the pool); `0` sizes
+    /// to `std::thread::available_parallelism`.
     pub workers: usize,
-    /// Bound on *outstanding* jobs — queued plus in-flight. Admission
-    /// counts a job from `submit` until its result is delivered, so the
-    /// bound is independent of how fast workers pick jobs up (and overload
+    /// Bound on *outstanding* jobs — waiting plus executing. Admission
+    /// counts a job from `submit`/`call` until its result is delivered, so
+    /// the bound is independent of how fast slots free up (and overload
     /// behaviour is deterministic for any worker count).
     pub capacity: usize,
     /// Reported-duration source for the service's always-on telemetry.
@@ -107,19 +137,20 @@ impl Default for ServiceConfig {
 /// [`TimeSource`] instead.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JobTiming {
-    /// Admission to worker pickup, raw wall nanoseconds.
+    /// Admission to the start of execution — a worker's pickup, or the
+    /// caller getting a free slot — raw wall nanoseconds.
     pub queue_ns: u64,
-    /// Worker pickup to result delivery (including any injected hold),
-    /// raw wall nanoseconds.
+    /// Start of execution to result delivery (including any injected
+    /// hold), raw wall nanoseconds.
     pub exec_ns: u64,
-    /// Outstanding jobs (queued + in-flight) at admission, this job
-    /// included. Counted at admission rather than pickup, so the value
-    /// does not depend on how quickly workers drain the queue.
+    /// Outstanding jobs (waiting + executing) at admission, this job
+    /// included. Counted at admission rather than at the start of
+    /// execution, so the value does not depend on how quickly slots free.
     pub depth: u64,
 }
 
 /// Always-on service telemetry: latency and depth histograms recorded by
-/// the admission path and the workers.
+/// the admission path and the execution body.
 #[derive(Debug)]
 struct ServiceTelemetry {
     time: TimeSource,
@@ -132,15 +163,15 @@ struct ServiceTelemetry {
 /// the configured [`TimeSource`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineTelemetrySnapshot {
-    /// Admission-to-pickup wait per job, nanoseconds.
+    /// Admission-to-execution wait per job, nanoseconds.
     pub queue_wait: HistogramSnapshot,
-    /// Pickup-to-delivery execution time per job, nanoseconds.
+    /// Execution-to-delivery time per job, nanoseconds.
     pub exec: HistogramSnapshot,
     /// Outstanding jobs observed at each admission (unitless).
     pub depth: HistogramSnapshot,
 }
 
-/// What one submitted job analyzes, and under which policy knobs.
+/// What one job analyzes, and under which policy knobs.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     name: String,
@@ -162,7 +193,7 @@ impl JobSpec {
         }
     }
 
-    /// A job over an already-built tree (no parsing on the worker).
+    /// A job over an already-built tree (no parsing in the job).
     pub fn tree(name: impl Into<String>, tree: RlcTree) -> Self {
         Self {
             name: name.into(),
@@ -179,9 +210,9 @@ impl JobSpec {
         self
     }
 
-    /// Sets an absolute deadline. A worker that picks the job up after
-    /// this instant skips the analysis and reports
-    /// [`EngineError::DeadlineExceeded`] — queue time counts against the
+    /// Sets an absolute deadline. A job that starts executing after this
+    /// instant skips the analysis and reports
+    /// [`EngineError::DeadlineExceeded`] — waiting time counts against the
     /// request, so a backlog sheds stale work instead of burning CPU on
     /// answers nobody is waiting for.
     pub fn deadline(mut self, deadline: Instant) -> Self {
@@ -189,23 +220,23 @@ impl JobSpec {
         self
     }
 
-    /// Fault-injection hook: the worker sleeps for `hold` before analyzing.
+    /// Fault-injection hook: the job sleeps for `hold`, holding its
+    /// execution slot, before analyzing.
     ///
     /// Like [`Batch::push_panicking`](crate::Batch::push_panicking), this
     /// exists so scheduling contracts can be proven deterministically:
-    /// held jobs pin workers and fill the queue on demand, which is how
-    /// the overload and drain tests (and the `rlc-serve` smoke) force the
-    /// admission paths without racing the real analysis speed.
+    /// held jobs pin slots and fill the admission bound on demand, which
+    /// is how the overload and drain tests (and the `rlc-serve` smoke)
+    /// force the admission paths without racing the real analysis speed.
     pub fn hold(mut self, hold: Duration) -> Self {
         self.hold = Some(hold);
         self
     }
 }
 
-/// What one submitted coupled-group job analyzes: the crosstalk analogue
-/// of [`JobSpec`]. Coupled jobs share the same worker pool, admission
-/// bound, and telemetry as single-net jobs — a group is simply a larger
-/// unit of work.
+/// What one coupled-group job analyzes: the crosstalk analogue of
+/// [`JobSpec`]. Coupled jobs share the same slots, admission bound, and
+/// telemetry as single-net jobs — a group is simply a larger unit of work.
 #[derive(Debug, Clone)]
 pub struct CoupleSpec {
     name: String,
@@ -226,7 +257,7 @@ impl CoupleSpec {
         }
     }
 
-    /// A job over an already-parsed group (no parsing on the worker).
+    /// A job over an already-parsed group (no parsing in the job).
     pub fn group(name: impl Into<String>, group: CoupledGroup) -> Self {
         Self {
             name: name.into(),
@@ -249,10 +280,9 @@ impl CoupleSpec {
     }
 }
 
-/// What one submitted synthesis job optimizes: the buffer-insertion
-/// analogue of [`JobSpec`]. Synthesis jobs share the same worker pool,
-/// admission bound, and telemetry as the other kinds — they are simply a
-/// heavier unit of work.
+/// What one synthesis job optimizes: the buffer-insertion analogue of
+/// [`JobSpec`]. Synthesis jobs share the same slots, admission bound, and
+/// telemetry as the other kinds — they are simply a heavier unit of work.
 #[derive(Debug, Clone)]
 pub struct SynthSpec {
     name: String,
@@ -303,33 +333,51 @@ pub struct ServiceStats {
     pub completed: u64,
     /// Completed jobs that delivered an error result.
     pub failed: u64,
-    /// Submissions rejected because the queue was at capacity.
+    /// Submissions rejected because the service was at capacity.
     pub rejected_overload: u64,
     /// Submissions rejected because the service was draining.
     pub rejected_shutdown: u64,
 }
 
 struct QueueState {
+    /// Submitted jobs waiting for a pool worker.
     jobs: VecDeque<Job>,
-    /// Jobs picked up by a worker whose result is not yet delivered.
+    /// Admitted callers waiting for a free execution slot.
+    waiting: usize,
+    /// Jobs holding an execution slot, on either path; never more than
+    /// [`Shared::slots`].
     in_flight: usize,
     accepting: bool,
 }
 
-struct Job {
+impl QueueState {
+    /// Admitted jobs whose result is not yet delivered.
+    fn outstanding(&self) -> usize {
+        self.jobs.len() + self.waiting + self.in_flight
+    }
+}
+
+/// The kind-agnostic half of an admitted job: its label, policy knobs,
+/// and admission record.
+struct JobHead {
     name: String,
     deadline: Option<Instant>,
     hold: Option<Duration>,
     admitted: Instant,
     /// Outstanding jobs at admission, this one included.
     depth: u64,
+}
+
+/// A submitted job waiting in the queue for a pool worker.
+struct Job {
+    head: JobHead,
     payload: Payload,
 }
 
-/// The job-kind-specific half of a [`Job`]: what to analyze and where the
-/// typed result goes. Each kind delivers through its own channel type, so
-/// tickets stay strongly typed while the queue, workers, and admission
-/// policy are shared.
+/// The job-kind-specific half of a queued [`Job`]: what to analyze and
+/// where the typed result goes. Each kind delivers through its own channel
+/// type, so tickets stay strongly typed while the queue, slots, and
+/// admission policy are shared.
 enum Payload {
     Net {
         source: NetSource,
@@ -347,14 +395,32 @@ enum Payload {
     },
 }
 
+/// Reusable analysis buffers, one set per thread that executes jobs (pool
+/// worker or caller). Every analysis fully rewrites them before reading,
+/// so reuse across jobs is purely an allocation-count optimization.
+#[derive(Default)]
+struct JobScratch {
+    net: NetScratch,
+    couple: CoupleScratch,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<JobScratch> = RefCell::new(JobScratch::default());
+}
+
 struct Shared {
     telemetry: ServiceTelemetry,
     state: Mutex<QueueState>,
-    /// Signals workers that a job arrived or admission closed.
+    /// Signals pool workers that a job arrived, a slot freed with jobs
+    /// queued, or admission closed.
     job_ready: Condvar,
+    /// Signals waiting callers that an execution slot freed.
+    slot_free: Condvar,
     /// Signals drainers that the service went idle.
     idle: Condvar,
     capacity: usize,
+    /// Execution slots: the bound on `in_flight`.
+    slots: usize,
     submitted: AtomicU64,
     completed: AtomicU64,
     failed: AtomicU64,
@@ -362,25 +428,132 @@ struct Shared {
     rejected_shutdown: AtomicU64,
 }
 
-/// A persistent worker pool with bounded admission and graceful drain.
+impl Shared {
+    /// The admission policy, shared by every job kind and both paths:
+    /// reject when draining or at capacity, otherwise count the job as
+    /// admitted. The caller records the job in `state` before unlocking.
+    fn admit(
+        &self,
+        state: &QueueState,
+        name: String,
+        deadline: Option<Instant>,
+        hold: Option<Duration>,
+    ) -> Result<JobHead, EngineError> {
+        if !state.accepting {
+            self.rejected_shutdown.fetch_add(1, Ordering::Relaxed);
+            rlc_obs::counter!("engine.service.rejected.shutdown");
+            return Err(EngineError::ShuttingDown { net: name });
+        }
+        let outstanding = state.outstanding();
+        if outstanding >= self.capacity {
+            self.rejected_overload.fetch_add(1, Ordering::Relaxed);
+            rlc_obs::counter!("engine.service.rejected.overload");
+            return Err(EngineError::Overloaded {
+                net: name,
+                capacity: self.capacity,
+            });
+        }
+        let depth = (outstanding + 1) as u64;
+        self.telemetry.depth.record(depth);
+        self.submitted.fetch_add(1, Ordering::Relaxed);
+        rlc_obs::counter!("engine.service.submitted");
+        Ok(JobHead {
+            name,
+            deadline,
+            hold,
+            admitted: self.telemetry.time.now(),
+            depth,
+        })
+    }
+
+    /// Runs one admitted job that holds an execution slot, then frees the
+    /// slot and hands the result to `deliver` — the one execution body
+    /// behind both the pool and the caller path: the injected hold, the
+    /// deadline check, the job itself (`work`, given the job name and
+    /// this thread's scratch), telemetry, counters, and delivery.
+    fn execute<T, R>(
+        &self,
+        head: &JobHead,
+        work: impl FnOnce(&str, &mut JobScratch) -> Result<T, EngineError>,
+        deliver: impl FnOnce(Result<T, EngineError>, JobTiming) -> R,
+    ) -> R {
+        let _span = rlc_obs::span!("engine.service/job");
+        let time = self.telemetry.time;
+        let picked = time.now();
+        let queue_ns = saturating_ns(picked.duration_since(head.admitted));
+        if let Some(hold) = head.hold {
+            thread::sleep(hold);
+        }
+        let expired = matches!(head.deadline, Some(deadline) if time.now() > deadline);
+        let result = if expired {
+            Err(EngineError::DeadlineExceeded {
+                net: head.name.clone(),
+            })
+        } else {
+            SCRATCH.with_borrow_mut(|scratch| work(&head.name, scratch))
+        };
+        let exec_ns = saturating_ns(picked.elapsed());
+        self.telemetry.queue_wait.record(time.measured_ns(queue_ns));
+        self.telemetry.exec.record(time.measured_ns(exec_ns));
+        let timing = JobTiming {
+            queue_ns,
+            exec_ns,
+            depth: head.depth,
+        };
+        self.completed.fetch_add(1, Ordering::Relaxed);
+        rlc_obs::counter!("engine.service.completed");
+        if result.is_err() {
+            self.failed.fetch_add(1, Ordering::Relaxed);
+            rlc_obs::counter!("engine.service.failed");
+        }
+        let mut state = self.state.lock().expect("service lock");
+        state.in_flight -= 1;
+        // Deliver while still holding the state lock (channel sends never
+        // block): the slot frees *atomically* with delivery, so a
+        // submitter unblocked by this result can never be rejected on a
+        // stale count. A submitter may also have given up on its ticket;
+        // a closed channel still counts as delivery.
+        let delivered = deliver(result, timing);
+        if state.waiting > 0 {
+            self.slot_free.notify_one();
+        }
+        if !state.jobs.is_empty() {
+            self.job_ready.notify_one();
+        }
+        if state.outstanding() == 0 {
+            self.idle.notify_all();
+        }
+        delivered
+    }
+}
+
+/// Bounded admission in front of a fixed number of execution slots, with
+/// graceful drain.
 ///
-/// See the [module docs](self) for the admission and shutdown contracts.
+/// A job runs either on the calling thread
+/// ([`call_spec`](Self::call_spec) and its siblings) or on a worker pool
+/// that the first submission starts ([`submit_spec`](Self::submit_spec)
+/// and its siblings). Both paths share the admission bound, the
+/// `workers` execution slots, the counters and the histograms.
 pub struct EngineService {
     shared: Arc<Shared>,
-    workers: Vec<thread::JoinHandle<()>>,
+    /// The pool threads behind the submit path; empty until the first
+    /// submission starts them.
+    pool: Mutex<Vec<thread::JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for EngineService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineService")
-            .field("workers", &self.workers.len())
+            .field("workers", &self.shared.slots)
             .field("capacity", &self.shared.capacity)
             .finish()
     }
 }
 
 impl EngineService {
-    /// Starts the worker pool.
+    /// Starts the service. No thread is spawned until the first
+    /// submission.
     ///
     /// # Panics
     ///
@@ -391,7 +564,7 @@ impl EngineService {
             config.capacity > 0,
             "service needs capacity for at least one job"
         );
-        let workers = if config.workers == 0 {
+        let slots = if config.workers == 0 {
             thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)
@@ -407,30 +580,31 @@ impl EngineService {
             },
             state: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
+                waiting: 0,
                 in_flight: 0,
                 accepting: true,
             }),
             job_ready: Condvar::new(),
+            slot_free: Condvar::new(),
             idle: Condvar::new(),
             capacity: config.capacity,
+            slots,
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             failed: AtomicU64::new(0),
             rejected_overload: AtomicU64::new(0),
             rejected_shutdown: AtomicU64::new(0),
         });
-        let workers = (0..workers)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                thread::spawn(move || worker_loop(&shared))
-            })
-            .collect();
-        Self { shared, workers }
+        Self {
+            shared,
+            pool: Mutex::new(Vec::new()),
+        }
     }
 
-    /// The worker thread count.
+    /// The execution-slot count: the most jobs that run at once (and the
+    /// pool size once a submission starts the pool).
     pub fn workers(&self) -> usize {
-        self.workers.len()
+        self.shared.slots
     }
 
     /// The configured bound on outstanding jobs.
@@ -438,10 +612,117 @@ impl EngineService {
         self.shared.capacity
     }
 
-    /// Jobs currently outstanding (queued + in-flight).
+    /// Jobs currently outstanding (waiting + executing).
     pub fn outstanding(&self) -> usize {
-        let state = self.shared.state.lock().expect("service lock");
-        state.jobs.len() + state.in_flight
+        self.shared
+            .state
+            .lock()
+            .expect("service lock")
+            .outstanding()
+    }
+
+    /// Jobs currently holding an execution slot; never more than
+    /// [`workers`](Self::workers).
+    pub fn executing(&self) -> usize {
+        self.shared.state.lock().expect("service lock").in_flight
+    }
+
+    /// Analyzes a job on the calling thread, applying the admission
+    /// policy: the caller-runs counterpart of
+    /// [`submit_spec`](Self::submit_spec) followed by
+    /// [`JobTicket::wait_timed`], with the same result, timings, counters
+    /// and telemetry. If every execution slot is busy the call blocks
+    /// until one frees; that wait is the job's
+    /// [`queue_ns`](JobTiming::queue_ns).
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::Overloaded`] when the service is at capacity,
+    /// [`EngineError::ShuttingDown`] once a drain has begun. Per-job
+    /// failures are the inner `Result`.
+    pub fn call_spec(
+        &self,
+        spec: JobSpec,
+    ) -> Result<(Result<NetTiming, EngineError>, JobTiming), EngineError> {
+        let JobSpec {
+            name,
+            source,
+            model,
+            deadline,
+            hold,
+        } = spec;
+        self.call(name, deadline, hold, |name, scratch| {
+            analyze_one(name, &source, model, &mut scratch.net)
+        })
+    }
+
+    /// Analyzes a coupled group on the calling thread; the crosstalk
+    /// analogue of [`call_spec`](Self::call_spec).
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::Overloaded`] when the service is at capacity,
+    /// [`EngineError::ShuttingDown`] once a drain has begun.
+    pub fn call_couple_spec(
+        &self,
+        spec: CoupleSpec,
+    ) -> Result<(Result<GroupTiming, EngineError>, JobTiming), EngineError> {
+        let CoupleSpec {
+            name,
+            source,
+            deadline,
+            hold,
+        } = spec;
+        self.call(name, deadline, hold, |name, scratch| {
+            analyze_one_couple(name, &source, &mut scratch.couple)
+        })
+    }
+
+    /// Optimizes a synthesis deck on the calling thread; the
+    /// buffer-insertion analogue of [`call_spec`](Self::call_spec).
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::Overloaded`] when the service is at capacity,
+    /// [`EngineError::ShuttingDown`] once a drain has begun.
+    pub fn call_synth_spec(
+        &self,
+        spec: SynthSpec,
+    ) -> Result<(Result<SynthTiming, EngineError>, JobTiming), EngineError> {
+        let SynthSpec {
+            name,
+            source,
+            config,
+            deadline,
+            hold,
+        } = spec;
+        self.call(name, deadline, hold, |name, _| {
+            optimize_one(name, &source, &config)
+        })
+    }
+
+    /// The caller path: admit, wait for a free slot, execute here.
+    fn call<T>(
+        &self,
+        name: String,
+        deadline: Option<Instant>,
+        hold: Option<Duration>,
+        work: impl FnOnce(&str, &mut JobScratch) -> Result<T, EngineError>,
+    ) -> Result<(Result<T, EngineError>, JobTiming), EngineError> {
+        let head = {
+            let mut state = self.shared.state.lock().expect("service lock");
+            let head = self.shared.admit(&state, name, deadline, hold)?;
+            state.waiting += 1;
+            while state.in_flight >= self.shared.slots {
+                state = self.shared.slot_free.wait(state).expect("service lock");
+            }
+            state.waiting -= 1;
+            state.in_flight += 1;
+            head
+        };
+        Ok(self
+            .shared
+            .execute(&head, work, |result, timing| (result, timing)))
     }
 
     /// Submits a netlist deck under the default model; shorthand for
@@ -449,7 +730,7 @@ impl EngineService {
     ///
     /// # Errors
     ///
-    /// [`EngineError::Overloaded`] when the queue is at capacity,
+    /// [`EngineError::Overloaded`] when the service is at capacity,
     /// [`EngineError::ShuttingDown`] once a drain has begun.
     pub fn submit(
         &self,
@@ -459,27 +740,25 @@ impl EngineService {
         self.submit_spec(JobSpec::deck(name, deck))
     }
 
-    /// Submits a job, applying the admission policy.
+    /// Queues a job for the pool, applying the admission policy.
     ///
     /// # Errors
     ///
-    /// [`EngineError::Overloaded`] when the queue is at capacity,
+    /// [`EngineError::Overloaded`] when the service is at capacity,
     /// [`EngineError::ShuttingDown`] once a drain has begun.
     pub fn submit_spec(&self, spec: JobSpec) -> Result<JobTicket, EngineError> {
         let (tx, rx) = mpsc::channel();
         let name = spec.name.clone();
-        self.admit(Job {
-            name: spec.name,
-            deadline: spec.deadline,
-            hold: spec.hold,
-            admitted: self.shared.telemetry.time.now(),
-            depth: 0,
-            payload: Payload::Net {
+        self.enqueue(
+            spec.name,
+            spec.deadline,
+            spec.hold,
+            Payload::Net {
                 source: spec.source,
                 model: spec.model,
                 tx,
             },
-        })?;
+        )?;
         Ok(JobTicket { name, rx })
     }
 
@@ -489,7 +768,7 @@ impl EngineService {
     ///
     /// # Errors
     ///
-    /// [`EngineError::Overloaded`] when the queue is at capacity,
+    /// [`EngineError::Overloaded`] when the service is at capacity,
     /// [`EngineError::ShuttingDown`] once a drain has begun.
     pub fn submit_couple(
         &self,
@@ -499,28 +778,25 @@ impl EngineService {
         self.submit_couple_spec(CoupleSpec::deck(name, deck))
     }
 
-    /// Submits a coupled-group job, applying the same admission policy as
-    /// [`submit_spec`](Self::submit_spec) — both kinds share the one
-    /// bounded queue.
+    /// Queues a coupled-group job, applying the same admission policy as
+    /// [`submit_spec`](Self::submit_spec) — all kinds share one bound.
     ///
     /// # Errors
     ///
-    /// [`EngineError::Overloaded`] when the queue is at capacity,
+    /// [`EngineError::Overloaded`] when the service is at capacity,
     /// [`EngineError::ShuttingDown`] once a drain has begun.
     pub fn submit_couple_spec(&self, spec: CoupleSpec) -> Result<CoupleTicket, EngineError> {
         let (tx, rx) = mpsc::channel();
         let name = spec.name.clone();
-        self.admit(Job {
-            name: spec.name,
-            deadline: spec.deadline,
-            hold: spec.hold,
-            admitted: self.shared.telemetry.time.now(),
-            depth: 0,
-            payload: Payload::Couple {
+        self.enqueue(
+            spec.name,
+            spec.deadline,
+            spec.hold,
+            Payload::Couple {
                 source: spec.source,
                 tx,
             },
-        })?;
+        )?;
         Ok(CoupleTicket { name, rx })
     }
 
@@ -530,7 +806,7 @@ impl EngineService {
     ///
     /// # Errors
     ///
-    /// [`EngineError::Overloaded`] when the queue is at capacity,
+    /// [`EngineError::Overloaded`] when the service is at capacity,
     /// [`EngineError::ShuttingDown`] once a drain has begun.
     pub fn submit_synth(
         &self,
@@ -540,70 +816,60 @@ impl EngineService {
         self.submit_synth_spec(SynthSpec::deck(name, deck))
     }
 
-    /// Submits a synthesis job, applying the same admission policy as
-    /// [`submit_spec`](Self::submit_spec) — all kinds share the one
-    /// bounded queue.
+    /// Queues a synthesis job, applying the same admission policy as
+    /// [`submit_spec`](Self::submit_spec) — all kinds share one bound.
     ///
     /// # Errors
     ///
-    /// [`EngineError::Overloaded`] when the queue is at capacity,
+    /// [`EngineError::Overloaded`] when the service is at capacity,
     /// [`EngineError::ShuttingDown`] once a drain has begun.
     pub fn submit_synth_spec(&self, spec: SynthSpec) -> Result<SynthTicket, EngineError> {
         let (tx, rx) = mpsc::channel();
         let name = spec.name.clone();
-        self.admit(Job {
-            name: spec.name,
-            deadline: spec.deadline,
-            hold: spec.hold,
-            admitted: self.shared.telemetry.time.now(),
-            depth: 0,
-            payload: Payload::Synth {
+        self.enqueue(
+            spec.name,
+            spec.deadline,
+            spec.hold,
+            Payload::Synth {
                 source: spec.source,
                 config: spec.config,
                 tx,
             },
-        })?;
+        )?;
         Ok(SynthTicket { name, rx })
     }
 
-    /// The admission policy, shared by every job kind: reject when
-    /// draining or at capacity, otherwise queue and wake one worker.
-    fn admit(&self, mut job: Job) -> Result<(), EngineError> {
+    /// The submit path: start the pool on first use, admit, queue, and
+    /// wake one worker.
+    fn enqueue(
+        &self,
+        name: String,
+        deadline: Option<Instant>,
+        hold: Option<Duration>,
+        payload: Payload,
+    ) -> Result<(), EngineError> {
+        {
+            let mut pool = self.pool.lock().expect("pool lock");
+            if pool.is_empty() {
+                pool.extend((0..self.shared.slots).map(|_| {
+                    let shared = Arc::clone(&self.shared);
+                    thread::spawn(move || worker_loop(&shared))
+                }));
+            }
+        }
         {
             let mut state = self.shared.state.lock().expect("service lock");
-            if !state.accepting {
-                self.shared
-                    .rejected_shutdown
-                    .fetch_add(1, Ordering::Relaxed);
-                rlc_obs::counter!("engine.service.rejected.shutdown");
-                return Err(EngineError::ShuttingDown { net: job.name });
-            }
-            if state.jobs.len() + state.in_flight >= self.shared.capacity {
-                self.shared
-                    .rejected_overload
-                    .fetch_add(1, Ordering::Relaxed);
-                rlc_obs::counter!("engine.service.rejected.overload");
-                return Err(EngineError::Overloaded {
-                    net: job.name,
-                    capacity: self.shared.capacity,
-                });
-            }
-            let depth = (state.jobs.len() + state.in_flight + 1) as u64;
-            self.shared.telemetry.depth.record(depth);
-            job.depth = depth;
-            job.admitted = self.shared.telemetry.time.now();
-            state.jobs.push_back(job);
+            let head = self.shared.admit(&state, name, deadline, hold)?;
+            state.jobs.push_back(Job { head, payload });
             rlc_obs::value!("engine.service.queue.depth", state.jobs.len() as f64);
         }
-        self.shared.submitted.fetch_add(1, Ordering::Relaxed);
-        rlc_obs::counter!("engine.service.submitted");
         self.shared.job_ready.notify_one();
         Ok(())
     }
 
-    /// Stops admission without waiting: subsequent submissions are
-    /// rejected with [`EngineError::ShuttingDown`], but accepted jobs keep
-    /// running. Idempotent.
+    /// Stops admission without waiting: subsequent submissions and calls
+    /// are rejected with [`EngineError::ShuttingDown`], but accepted jobs
+    /// keep running. Idempotent.
     pub fn close(&self) {
         let mut state = self.shared.state.lock().expect("service lock");
         state.accepting = false;
@@ -613,22 +879,33 @@ impl EngineService {
     }
 
     /// Graceful drain: [`close`](Self::close)s admission, then blocks
-    /// until every accepted job has delivered its result.
+    /// until every accepted job — queued, waiting for a slot, or
+    /// executing on either path — has delivered its result.
     pub fn drain(&self) {
         self.close();
         let mut state = self.shared.state.lock().expect("service lock");
-        while !state.jobs.is_empty() || state.in_flight > 0 {
+        while state.outstanding() > 0 {
             state = self.shared.idle.wait(state).expect("service lock");
         }
     }
 
-    /// Drains and joins the workers, returning the final stats.
-    pub fn shutdown(mut self) -> ServiceStats {
+    /// Drains and joins the pool threads, returning the final stats.
+    pub fn shutdown(self) -> ServiceStats {
         self.drain();
-        for worker in self.workers.drain(..) {
+        self.join_pool();
+        self.stats()
+    }
+
+    fn join_pool(&self) {
+        // Runs from `Drop`, so it must not panic: a poisoned pool lock
+        // still guards a list of valid handles.
+        let workers = match self.pool.lock() {
+            Ok(mut pool) => std::mem::take(&mut *pool),
+            Err(poisoned) => std::mem::take(&mut *poisoned.into_inner()),
+        };
+        for worker in workers {
             let _ = worker.join();
         }
-        self.stats()
     }
 
     /// A point-in-time copy of the service histograms, quantized by the
@@ -657,9 +934,7 @@ impl Drop for EngineService {
     fn drop(&mut self) {
         // A dropped service still honours accepted work: drain, then join.
         self.drain();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+        self.join_pool();
     }
 }
 
@@ -753,139 +1028,48 @@ fn saturating_ns(duration: Duration) -> u64 {
     u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX)
 }
 
+/// One pool worker: take a queued job when a slot is free, run it through
+/// [`Shared::execute`], deliver on its ticket's channel; exit once
+/// admission is closed and the queue is empty.
 fn worker_loop(shared: &Shared) {
-    // Per-worker scratch: the packed flat snapshot and moment buffers are
-    // rebuilt from scratch for every job, so reusing them across jobs is
-    // purely an allocation-count optimization.
-    let mut scratch = NetScratch::default();
-    let mut couple_scratch = CoupleScratch::default();
     loop {
-        let job = {
+        let Job { head, payload } = {
             let mut state = shared.state.lock().expect("service lock");
             loop {
-                if let Some(job) = state.jobs.pop_front() {
-                    state.in_flight += 1;
-                    break job;
+                if state.in_flight < shared.slots {
+                    if let Some(job) = state.jobs.pop_front() {
+                        state.in_flight += 1;
+                        break job;
+                    }
                 }
-                if !state.accepting {
+                if !state.accepting && state.jobs.is_empty() {
                     return;
                 }
                 state = shared.job_ready.wait(state).expect("service lock");
             }
         };
-
-        let _span = rlc_obs::span!("engine.service/job");
-        let picked = shared.telemetry.time.now();
-        let queue_ns = saturating_ns(picked.duration_since(job.admitted));
-        if let Some(hold) = job.hold {
-            thread::sleep(hold);
-        }
-        let expired =
-            matches!(job.deadline, Some(deadline) if shared.telemetry.time.now() > deadline);
-        // Each job kind computes its own typed result; everything around it
-        // (timing, counters, atomic delivery) is kind-agnostic.
-        let outcome = match job.payload {
-            Payload::Net { source, model, tx } => {
-                let result = if expired {
-                    Err(EngineError::DeadlineExceeded {
-                        net: job.name.clone(),
-                    })
-                } else {
-                    analyze_one(&job.name, &source, model, &mut scratch)
-                };
-                Outcome::Net(result, tx)
-            }
-            Payload::Couple { source, tx } => {
-                let result = if expired {
-                    Err(EngineError::DeadlineExceeded {
-                        net: job.name.clone(),
-                    })
-                } else {
-                    analyze_one_couple(&job.name, &source, &mut couple_scratch)
-                };
-                Outcome::Couple(result, tx)
-            }
-            Payload::Synth { source, config, tx } => {
-                let result = if expired {
-                    Err(EngineError::DeadlineExceeded {
-                        net: job.name.clone(),
-                    })
-                } else {
-                    optimize_one(&job.name, &source, &config)
-                };
-                Outcome::Synth(result, tx)
-            }
-        };
-        let exec_ns = saturating_ns(picked.elapsed());
-        let time = shared.telemetry.time;
-        shared
-            .telemetry
-            .queue_wait
-            .record(time.measured_ns(queue_ns));
-        shared.telemetry.exec.record(time.measured_ns(exec_ns));
-        let timing = JobTiming {
-            queue_ns,
-            exec_ns,
-            depth: job.depth,
-        };
-        shared.completed.fetch_add(1, Ordering::Relaxed);
-        rlc_obs::counter!("engine.service.completed");
-        if outcome.is_err() {
-            shared.failed.fetch_add(1, Ordering::Relaxed);
-            rlc_obs::counter!("engine.service.failed");
-        }
-        let mut state = shared.state.lock().expect("service lock");
-        state.in_flight -= 1;
-        // Deliver while still holding the state lock (channel sends never
-        // block): the admission slot frees *atomically* with delivery, so
-        // a submitter unblocked by this result can never be rejected on a
-        // stale in-flight count. The submitter may also have given up on
-        // the ticket; a closed channel still counts as delivery.
-        outcome.deliver(timing);
-        if state.jobs.is_empty() && state.in_flight == 0 {
-            shared.idle.notify_all();
-        }
-    }
-}
-
-/// A computed result paired with its typed delivery channel, so the
-/// kind-agnostic tail of the worker loop can count failures and deliver
-/// without caring which job kind ran.
-enum Outcome {
-    Net(
-        Result<NetTiming, EngineError>,
-        mpsc::Sender<(Result<NetTiming, EngineError>, JobTiming)>,
-    ),
-    Couple(
-        Result<GroupTiming, EngineError>,
-        mpsc::Sender<(Result<GroupTiming, EngineError>, JobTiming)>,
-    ),
-    Synth(
-        Result<SynthTiming, EngineError>,
-        mpsc::Sender<(Result<SynthTiming, EngineError>, JobTiming)>,
-    ),
-}
-
-impl Outcome {
-    fn is_err(&self) -> bool {
-        match self {
-            Outcome::Net(result, _) => result.is_err(),
-            Outcome::Couple(result, _) => result.is_err(),
-            Outcome::Synth(result, _) => result.is_err(),
-        }
-    }
-
-    fn deliver(self, timing: JobTiming) {
-        match self {
-            Outcome::Net(result, tx) => {
-                let _ = tx.send((result, timing));
-            }
-            Outcome::Couple(result, tx) => {
-                let _ = tx.send((result, timing));
-            }
-            Outcome::Synth(result, tx) => {
-                let _ = tx.send((result, timing));
-            }
+        match payload {
+            Payload::Net { source, model, tx } => shared.execute(
+                &head,
+                |name, scratch| analyze_one(name, &source, model, &mut scratch.net),
+                |result, timing| {
+                    let _ = tx.send((result, timing));
+                },
+            ),
+            Payload::Couple { source, tx } => shared.execute(
+                &head,
+                |name, scratch| analyze_one_couple(name, &source, &mut scratch.couple),
+                |result, timing| {
+                    let _ = tx.send((result, timing));
+                },
+            ),
+            Payload::Synth { source, config, tx } => shared.execute(
+                &head,
+                |name, _| optimize_one(name, &source, &config),
+                |result, timing| {
+                    let _ = tx.send((result, timing));
+                },
+            ),
         }
     }
 }
@@ -1122,6 +1306,125 @@ mod tests {
         let stats = service.shutdown();
         assert_eq!(stats.completed, 2);
         assert_eq!(stats.failed, 2);
+    }
+
+    #[test]
+    fn calls_run_on_the_calling_thread_and_never_start_the_pool() {
+        let service = EngineService::start(ServiceConfig {
+            workers: 2,
+            capacity: 4,
+            time: TimeSource::Logical { quantum_ns: 16 },
+        });
+        let (result, timing) = service
+            .call_spec(JobSpec::deck("line", DECK))
+            .expect("capacity free");
+        assert_eq!(result.expect("analyzes fine").sections, 1);
+        assert_eq!(timing.depth, 1);
+        let (result, _) = service
+            .call_couple_spec(CoupleSpec::deck(
+                "bus",
+                ".net v\nR1 in n1 25\nC1 n1 0 0.5p\n.net a\nR1 in m1 25\nC1 m1 0 0.5p\nK1 v.n1 a.m1 0.1p\n",
+            ))
+            .expect("capacity free");
+        assert_eq!(result.expect("analyzes fine").couplings, 1);
+        let (result, _) = service
+            .call_synth_spec(SynthSpec::deck(
+                "clock",
+                "R1 in n1 900\nC1 n1 0 0.9p\nR2 n1 n2 900\nC2 n2 0 0.9p\n\
+                 R3 n2 n3 900\nC3 n3 0 0.9p\n.lib bufx r=120 cin=5f tin=15p\n.driver 100\n",
+            ))
+            .expect("capacity free");
+        assert!(!result.expect("optimizes fine").buffers.is_empty());
+        assert!(
+            service.pool.lock().unwrap().is_empty(),
+            "the caller path spawns no thread"
+        );
+        assert_eq!((service.outstanding(), service.executing()), (0, 0));
+        // The same histograms as the submit path, one sample per job.
+        let telemetry = service.telemetry();
+        assert_eq!(telemetry.queue_wait.count(), 3);
+        assert_eq!(telemetry.exec.count(), 3);
+        assert_eq!(telemetry.depth.count(), 3);
+        let stats = service.shutdown();
+        assert_eq!((stats.submitted, stats.completed, stats.failed), (3, 3, 0));
+    }
+
+    #[test]
+    fn call_failures_and_deadlines_are_typed_results() {
+        let service = EngineService::start(ServiceConfig {
+            workers: 1,
+            capacity: 4,
+            ..ServiceConfig::default()
+        });
+        let (bad, _) = service
+            .call_spec(JobSpec::deck("bad", "R1 in n1 oops\n"))
+            .expect("admitted");
+        assert!(matches!(bad.unwrap_err(), EngineError::Netlist { .. }));
+        let stale = Instant::now() - Duration::from_millis(1);
+        let (net, _) = service
+            .call_spec(JobSpec::deck("stale", DECK).deadline(stale))
+            .expect("admitted");
+        let (group, _) = service
+            .call_couple_spec(CoupleSpec::deck("stale", ".net v\nR1 in n1 25\n").deadline(stale))
+            .expect("admitted");
+        let (synth, _) = service
+            .call_synth_spec(SynthSpec::deck("stale", DECK).deadline(stale))
+            .expect("admitted");
+        assert!(matches!(
+            net.unwrap_err(),
+            EngineError::DeadlineExceeded { .. }
+        ));
+        assert!(matches!(
+            group.unwrap_err(),
+            EngineError::DeadlineExceeded { .. }
+        ));
+        assert!(matches!(
+            synth.unwrap_err(),
+            EngineError::DeadlineExceeded { .. }
+        ));
+        let stats = service.shutdown();
+        assert_eq!((stats.completed, stats.failed), (4, 4));
+    }
+
+    #[test]
+    fn calls_and_submissions_share_the_admission_bound() {
+        let service = Arc::new(EngineService::start(ServiceConfig {
+            workers: 1,
+            capacity: 2,
+            ..ServiceConfig::default()
+        }));
+        let ticket = service
+            .submit_spec(JobSpec::deck("queued", DECK).hold(Duration::from_millis(150)))
+            .expect("admitted");
+        while service.executing() < 1 {
+            thread::yield_now();
+        }
+        let caller = {
+            let service = Arc::clone(&service);
+            thread::spawn(move || service.call_spec(JobSpec::deck("called", DECK)))
+        };
+        while service.outstanding() < 2 {
+            thread::yield_now();
+        }
+        let err = service
+            .call_spec(JobSpec::deck("overflow", DECK))
+            .expect_err("third outstanding job is over capacity");
+        assert!(
+            matches!(err, EngineError::Overloaded { capacity: 2, .. }),
+            "{err}"
+        );
+        let (called, timing) = caller
+            .join()
+            .unwrap()
+            .expect("admitted before the overflow");
+        assert!(called.is_ok());
+        assert!(
+            timing.queue_ns >= 100_000_000,
+            "one slot: the call waited out the held job ({} ns)",
+            timing.queue_ns
+        );
+        assert!(ticket.wait().is_ok());
+        assert_eq!(service.stats().rejected_overload, 1);
     }
 
     #[test]

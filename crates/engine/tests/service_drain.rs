@@ -5,10 +5,13 @@
 //!   rejected with a typed [`EngineError::Overloaded`], never queued;
 //! * a drain lets every accepted (in-flight *or* queued) job complete and
 //!   deliver its result;
-//! * submissions after a drain begins get [`EngineError::ShuttingDown`].
+//! * submissions after a drain begins get [`EngineError::ShuttingDown`];
+//! * the caller path ([`EngineService::call_spec`]) runs at most `workers`
+//!   jobs at once and obeys the same drain contract.
 //!
-//! Held jobs (see [`JobSpec::hold`]) pin workers deterministically, so
-//! none of these tests race the real analysis speed.
+//! Held jobs (see [`JobSpec::hold`]) pin execution slots
+//! deterministically, so none of these tests race the real analysis
+//! speed.
 
 use std::time::{Duration, Instant};
 
@@ -131,4 +134,88 @@ fn idle_shutdown_is_clean() {
     service.drain();
     let stats = service.shutdown();
     assert_eq!(stats, rlc_engine::ServiceStats::default());
+}
+
+/// The caller path runs at most `workers` jobs at once. With one slot
+/// pinned by a held gate call, two more held calls are admitted and wait;
+/// whichever runs second waits out the other's whole hold, and that wait
+/// is its `queue_ns`.
+#[test]
+fn concurrent_calls_share_the_execution_slots() {
+    const HOLD_MS: u64 = 80;
+    let service = EngineService::start(ServiceConfig {
+        workers: 1,
+        capacity: 4,
+        ..ServiceConfig::default()
+    });
+    let timings = std::thread::scope(|scope| {
+        let gate = scope.spawn(|| service.call_spec(held("gate", HOLD_MS)));
+        while service.executing() == 0 {
+            std::thread::yield_now();
+        }
+        let calls = [
+            scope.spawn(|| service.call_spec(held("a", HOLD_MS))),
+            scope.spawn(|| service.call_spec(held("b", HOLD_MS))),
+        ];
+        while service.outstanding() < 3 {
+            assert!(service.executing() <= 1, "one slot");
+            std::thread::yield_now();
+        }
+        let mut timings = vec![gate.join().unwrap()];
+        timings.extend(calls.map(|call| call.join().unwrap()));
+        timings
+    });
+    let mut queued = Vec::new();
+    for timed in timings {
+        let (result, timing) = timed.expect("within capacity");
+        assert!(result.is_ok());
+        assert!(
+            timing.exec_ns >= HOLD_MS * 1_000_000,
+            "the hold runs in the slot"
+        );
+        queued.push(timing.queue_ns);
+    }
+    let later = queued[1].max(queued[2]);
+    assert!(
+        later >= HOLD_MS * 1_000_000,
+        "the later call waited {later} ns, less than the other's {HOLD_MS} ms hold"
+    );
+    assert_eq!((service.outstanding(), service.executing()), (0, 0));
+    let stats = service.shutdown();
+    assert_eq!((stats.submitted, stats.completed), (3, 3));
+}
+
+/// A call admitted before `close` completes before `drain` returns; a call
+/// after `close` is rejected with `ShuttingDown`.
+#[test]
+fn drain_waits_for_admitted_calls_and_rejects_late_ones() {
+    let service = EngineService::start(ServiceConfig {
+        workers: 2,
+        capacity: 4,
+        ..ServiceConfig::default()
+    });
+    std::thread::scope(|scope| {
+        let admitted = scope.spawn(|| {
+            let (result, _) = service.call_spec(held("admitted", 60)).expect("admitted");
+            (result, Instant::now())
+        });
+        while service.outstanding() == 0 {
+            std::thread::yield_now();
+        }
+        service.close();
+        let err = service.call_spec(JobSpec::deck("late", DECK)).unwrap_err();
+        assert!(matches!(err, EngineError::ShuttingDown { .. }), "{err}");
+        assert_eq!(err.net(), "late");
+        service.drain();
+        let drained = Instant::now();
+        let (result, finished) = admitted.join().unwrap();
+        assert!(result.is_ok(), "admitted call completes across the drain");
+        assert!(
+            finished <= drained,
+            "drain returned before the call finished"
+        );
+    });
+    let stats = service.shutdown();
+    assert_eq!((stats.submitted, stats.completed), (1, 1));
+    assert_eq!(stats.rejected_shutdown, 1);
 }

@@ -40,7 +40,7 @@ modes (default: --listen 127.0.0.1:7199)
   --smoke             run the CI conformance smoke and exit
 
 sizing
-  --workers N         engine worker threads (0 = machine-sized)
+  --workers N         concurrent engine jobs (0 = machine-sized)
   --queue N           bound on outstanding engine jobs (default 64)
   --cache-capacity N  result-cache entries (0 disables; default 128)
   --cache-ttl-ms MS   result-cache time-to-live (default: no expiry)
@@ -151,7 +151,7 @@ fn listen(addr: &str, config: ServeConfig, metrics_interval: Duration) -> Result
 // ---------------------------------------------------------------------------
 
 /// Outstanding-job bound used by every smoke iteration. Admission bounds
-/// queued + in-flight work, so with all workers pinned by held jobs the
+/// waiting + executing work, so with held jobs pinning every slot the
 /// accepted count is exactly this — independent of the worker count.
 const SMOKE_CAPACITY: usize = 4;
 

@@ -16,9 +16,10 @@
 //!   different node names, whitespace, or value spellings share one
 //!   engine run. LRU + TTL eviction, with hit/miss/eviction counters.
 //! * **Admission control**: the bounded
-//!   [`EngineService`](rlc_engine::EngineService) queue rejects overload
-//!   at the front door with a typed `overloaded` response instead of
-//!   queueing unboundedly; per-request deadlines shed stale work.
+//!   [`EngineService`](rlc_engine::EngineService) rejects overload at the
+//!   front door with a typed `overloaded` response instead of queueing
+//!   unboundedly; per-request deadlines shed stale work. Admitted jobs run
+//!   on the connection's own thread, at most `workers` at once.
 //! * **Graceful drain**: the `shutdown` verb stops admission, lets every
 //!   accepted net finish, and flushes a final `rlc-serve/1` stats report.
 //!
@@ -29,7 +30,7 @@
 //! `lint_denied` error before any cache or engine work, and the `lint`
 //! verb returns the full report on its own.
 //!
-//! Malformed decks and worker panics are *results* (the engine's typed
+//! Malformed decks and engine-job panics are *results* (the engine's typed
 //! per-net errors), scoped to the connection that sent them; only framing
 //! violations terminate a connection.
 //!

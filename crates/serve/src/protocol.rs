@@ -37,15 +37,19 @@
 //!
 //! Every response is a single line of JSON with a `"proto": "rlc-serve/1"`
 //! and a `"type"` member: `result` (the engine verdict for one net, ok
-//! *or* per-net error), `error` (the request never reached a worker:
+//! *or* per-net error), `error` (the request never reached the engine:
 //! `overloaded`, `shutting_down`, `lint_denied`, `bad_request`), `lint`
 //! (the static-analysis report), `probe` (live counters), `metrics` /
 //! `trace` (telemetry reports, `"report"` member tagged
 //! `"schema": "rlc-trace/1"`) or `stats` (the final report flushed at
 //! shutdown).
+//!
+//! A line longer than [`MAX_LINE_BYTES`] or a deck body longer than
+//! [`MAX_DECK_BYTES`] is a framing error (`bad_request`), like an unknown
+//! verb or an unterminated deck.
 
 use std::fmt;
-use std::io::{self, BufRead};
+use std::io::{self, BufRead, Read};
 
 use rlc_engine::TimingModel;
 
@@ -116,12 +120,12 @@ pub struct AnalyzeRequest {
     pub model: TimingModel,
     /// Lint gating (`lint=`; default [`LintMode::Warn`]).
     pub lint: LintMode,
-    /// Relative deadline in milliseconds (`deadline_ms=`). Queue time
-    /// counts against it; an expired job reports `deadline exceeded`
-    /// instead of burning a worker.
+    /// Relative deadline in milliseconds (`deadline_ms=`). Time spent
+    /// waiting for an execution slot counts against it; an expired job
+    /// reports `deadline exceeded` instead of burning CPU.
     pub deadline_ms: Option<u64>,
-    /// Fault-injection hold in milliseconds (`sleep_ms=`): the worker
-    /// sleeps before analyzing. Exists so overload and drain behaviour
+    /// Fault-injection hold in milliseconds (`sleep_ms=`): the job
+    /// sleeps, holding its execution slot, before analyzing. Exists so overload and drain behaviour
     /// can be exercised deterministically over the wire.
     pub sleep_ms: Option<u64>,
     /// The netlist deck body (without the terminating `.` line).
@@ -259,26 +263,86 @@ fn malformed(message: impl Into<String>) -> io::Result<ReadOutcome> {
     }))
 }
 
-/// Reads a deck body up to (and consuming) the lone `.` terminator.
-/// `Err` carries the malformed outcome for a deck the stream never
-/// terminated.
+/// Longest accepted line, newline included: 64 KiB. A netlist card is a
+/// few dozen bytes, so a longer line is a framing error (or a peer that
+/// never sends a newline), not a deck.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// Largest accepted deck body: 16 MiB, several hundred thousand cards.
+pub const MAX_DECK_BYTES: usize = 16 * 1024 * 1024;
+
+/// What [`read_line_into`] appended.
+enum Line {
+    /// The stream ended before any byte.
+    Eof,
+    /// One line (with its newline, unless the stream ended first).
+    Read,
+    /// The line ran past [`MAX_LINE_BYTES`]; the rest is left unread.
+    TooLong,
+}
+
+/// Appends the next line to `buf`, reading no more than one byte past
+/// [`MAX_LINE_BYTES`].
+fn read_line_into<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>) -> io::Result<Line> {
+    let limit = MAX_LINE_BYTES as u64 + 1;
+    match reader.by_ref().take(limit).read_until(b'\n', buf)? {
+        0 => Ok(Line::Eof),
+        n if n > MAX_LINE_BYTES => Ok(Line::TooLong),
+        _ => Ok(Line::Read),
+    }
+}
+
+fn line_too_long() -> ReadOutcome {
+    ReadOutcome::Malformed(ProtocolError {
+        message: format!("line longer than the {MAX_LINE_BYTES}-byte limit"),
+    })
+}
+
+/// Text off the wire; invalid UTF-8 is a transport-level failure, as for
+/// [`BufRead::read_line`].
+fn utf8(bytes: Vec<u8>) -> io::Result<String> {
+    String::from_utf8(bytes).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            "stream did not contain valid UTF-8",
+        )
+    })
+}
+
+/// Reads a deck body up to (and consuming) the lone `.` terminator,
+/// appending each line straight into the deck buffer. `Err` carries the
+/// malformed outcome for a deck the stream never terminated, a line over
+/// [`MAX_LINE_BYTES`] or a deck over [`MAX_DECK_BYTES`].
 fn read_deck<R: BufRead>(reader: &mut R) -> io::Result<Result<String, ReadOutcome>> {
-    let mut deck = String::new();
+    let mut deck = Vec::new();
     loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
+        let start = deck.len();
+        match read_line_into(reader, &mut deck)? {
+            Line::Eof => {
+                return Ok(Err(ReadOutcome::Malformed(ProtocolError {
+                    message: "unterminated deck: missing \".\" line".to_owned(),
+                })))
+            }
+            Line::TooLong => return Ok(Err(line_too_long())),
+            Line::Read => {}
+        }
+        if std::str::from_utf8(&deck[start..]).is_ok_and(|line| line.trim() == ".") {
+            deck.truncate(start);
+            return utf8(deck).map(Ok);
+        }
+        if deck.len() > MAX_DECK_BYTES {
             return Ok(Err(ReadOutcome::Malformed(ProtocolError {
-                message: "unterminated deck: missing \".\" line".to_owned(),
+                message: format!("deck longer than the {MAX_DECK_BYTES}-byte limit"),
             })));
         }
-        if line.trim() == "." {
-            return Ok(Ok(deck));
-        }
-        deck.push_str(&line);
     }
 }
 
 /// Reads the next request off `reader`, skipping blank lines.
+///
+/// A header or deck line longer than [`MAX_LINE_BYTES`], or a deck body
+/// longer than [`MAX_DECK_BYTES`], is [`ReadOutcome::Malformed`]: the
+/// reader stops at the limit instead of buffering whatever the peer sends.
 ///
 /// # Errors
 ///
@@ -287,10 +351,13 @@ fn read_deck<R: BufRead>(reader: &mut R) -> io::Result<Result<String, ReadOutcom
 /// server can answer with a typed response before closing.
 pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<ReadOutcome> {
     let header = loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(ReadOutcome::Eof);
+        let mut line = Vec::new();
+        match read_line_into(reader, &mut line)? {
+            Line::Eof => return Ok(ReadOutcome::Eof),
+            Line::TooLong => return Ok(line_too_long()),
+            Line::Read => {}
         }
+        let line = utf8(line)?;
         if !line.trim().is_empty() {
             break line;
         }
@@ -594,6 +661,63 @@ mod tests {
             ReadOutcome::Request(Request::Probe)
         );
         assert_eq!(read_request(&mut reader).unwrap(), ReadOutcome::Eof);
+    }
+
+    #[test]
+    fn a_newline_free_oversize_line_is_rejected_at_the_limit() {
+        // A header with no newline at all: the reader stops one byte past
+        // the limit instead of buffering the whole stream.
+        let input = "x".repeat(MAX_LINE_BYTES * 2);
+        let mut reader = input.as_bytes();
+        let ReadOutcome::Malformed(err) = read_request(&mut reader).unwrap() else {
+            panic!("an oversize header must be malformed");
+        };
+        assert!(err.message.contains("65536-byte limit"), "{err}");
+        assert_eq!(reader.len(), MAX_LINE_BYTES - 1, "read stops at the limit");
+
+        // The same inside a deck body.
+        let input = format!(
+            "analyze\nR1 in n1 25\n* {}\n.\n",
+            "x".repeat(MAX_LINE_BYTES)
+        );
+        let ReadOutcome::Malformed(err) = read(&input) else {
+            panic!("an oversize deck line must be malformed");
+        };
+        assert!(err.message.contains("65536-byte limit"), "{err}");
+    }
+
+    #[test]
+    fn a_line_at_the_limit_is_accepted() {
+        let comment = format!("* {}\n", "x".repeat(MAX_LINE_BYTES - 3));
+        assert_eq!(comment.len(), MAX_LINE_BYTES);
+        let ReadOutcome::Request(Request::Lint(req)) = read(&format!("lint\n{comment}.\n")) else {
+            panic!("a line of exactly the limit frames");
+        };
+        assert_eq!(req.deck, comment);
+    }
+
+    #[test]
+    fn an_oversize_deck_is_rejected() {
+        let line = format!("* {}\n", "x".repeat(1021));
+        let lines = MAX_DECK_BYTES / line.len() + 1;
+        let input = format!("analyze\n{}.\n", line.repeat(lines));
+        let ReadOutcome::Malformed(err) = read(&input) else {
+            panic!("an oversize deck must be malformed");
+        };
+        assert!(err.message.contains("16777216-byte limit"), "{err}");
+        // One line fewer fits.
+        let input = format!("lint\n{}.\n", line.repeat(lines - 1));
+        assert!(matches!(
+            read(&input),
+            ReadOutcome::Request(Request::Lint(_))
+        ));
+    }
+
+    #[test]
+    fn invalid_utf8_stays_a_transport_error() {
+        let mut reader: &[u8] = b"lint\nR1 in n1 \xff\n.\n";
+        let err = read_request(&mut reader).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

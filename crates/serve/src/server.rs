@@ -3,10 +3,17 @@
 //!
 //! [`ServeCore`] is transport-agnostic — it turns a parsed
 //! [`Request`](crate::protocol::Request) into a single-line JSON response
-//! and owns the engine pool plus the result cache. [`Server`] wraps it in
-//! a `TcpListener` with one thread per connection; [`serve_stdio`] runs
+//! and owns the engine service plus the result cache. [`Server`] wraps it
+//! in a `TcpListener` with one thread per connection; [`serve_stdio`] runs
 //! the same core over any `BufRead`/`Write` pair (used by `serve --stdio`
 //! and the integration tests).
+//!
+//! Engine jobs run on the thread that handles the request, through the
+//! service's caller path ([`EngineService::call_spec`] and its siblings):
+//! no request is handed to another thread. The service still admits each
+//! job against the outstanding-work bound and runs at most `workers` jobs
+//! at once; a request that finds every slot busy waits for one, and that
+//! wait is its `admission` stage.
 //!
 //! # Response invariants
 //!
@@ -51,11 +58,12 @@ use crate::protocol::{
 };
 use crate::telemetry::{ServeTelemetry, TelemetryConfig};
 
-/// Sizing of a serving stack: engine pool, admission bound, cache policy,
+/// Sizing of a serving stack: engine slots, admission bound, cache policy,
 /// telemetry policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServeConfig {
-    /// Engine worker threads; `0` sizes to the machine.
+    /// Engine jobs that execute at once (the service's execution slots);
+    /// `0` sizes to the machine.
     pub workers: usize,
     /// Bound on outstanding engine jobs; `0` takes the engine default.
     pub queue_capacity: usize,
@@ -82,8 +90,8 @@ impl ServeConfig {
     }
 }
 
-/// Transport-independent request handling: engine pool + result cache +
-/// request counters + telemetry.
+/// Transport-independent request handling: engine service, result cache,
+/// request counters and telemetry.
 pub struct ServeCore {
     service: EngineService,
     cache: Mutex<ResultCache<NetTiming>>,
@@ -103,7 +111,7 @@ pub struct ServeCore {
 }
 
 impl ServeCore {
-    /// Starts the engine pool and an empty cache.
+    /// Starts the engine service and an empty cache.
     pub fn new(config: ServeConfig) -> Self {
         Self {
             service: EngineService::start(config.service_config()),
@@ -148,9 +156,10 @@ impl ServeCore {
     /// with errors or warnings before any cache or engine work, `warn`
     /// (the default) attaches a `"lint"` summary to the response when
     /// there are findings. The deck is then parsed here (the canonical
-    /// form is the cache address), so workers only ever see already-built
-    /// trees; a parse failure renders the same [`EngineError::Netlist`]
-    /// the engine itself would report for the deck.
+    /// form is the cache address), so the engine job only ever sees an
+    /// already-built tree; a parse failure renders the same
+    /// [`EngineError::Netlist`] the engine itself would report for the
+    /// deck.
     pub fn analyze(&self, request: AnalyzeRequest) -> String {
         self.analyze_with_read(request, None)
     }
@@ -237,7 +246,7 @@ impl ServeCore {
         if let Some(ms) = request.sleep_ms {
             spec = spec.hold(Duration::from_millis(ms));
         }
-        match self.service.submit_spec(spec) {
+        match self.service.call_spec(spec) {
             Err(rejection) => {
                 let outcome = match &rejection {
                     EngineError::Overloaded { .. } => "overloaded",
@@ -247,8 +256,7 @@ impl ServeCore {
                 self.telemetry.finish(trace, outcome);
                 line
             }
-            Ok(ticket) => {
-                let (result, timing) = ticket.wait_timed();
+            Ok((result, timing)) => {
                 trace.add_stage("admission", timing.queue_ns);
                 trace.add_stage("engine", timing.exec_ns);
                 if let Ok(timing) = &result {
@@ -275,11 +283,11 @@ impl ServeCore {
     /// swapping in the coupled substrate: the deck is linted with
     /// [`rlc_lint::lint_coupled_deck`], parsed as a
     /// [`CoupledGroup`], content-addressed by its *canonical coupled deck*
-    /// under the `"couple"` model id, and analyzed on the shared engine
-    /// pool via [`CoupleSpec`]. The `"group"` member of the response is
-    /// exactly [`rlc_engine::group_json`] of the engine's verdict — the
-    /// single-line `rlc-couple/1` report, byte-identical for any worker
-    /// count.
+    /// under the `"couple"` model id, and analyzed through the shared
+    /// engine service via [`CoupleSpec`]. The `"group"` member of the
+    /// response is exactly [`rlc_engine::group_json`] of the engine's
+    /// verdict — the single-line `rlc-couple/1` report, byte-identical for
+    /// any worker count.
     pub fn couple(&self, request: CoupleRequest) -> String {
         self.couple_with_read(request, None)
     }
@@ -347,7 +355,7 @@ impl ServeCore {
         if let Some(ms) = request.sleep_ms {
             spec = spec.hold(Duration::from_millis(ms));
         }
-        match self.service.submit_couple_spec(spec) {
+        match self.service.call_couple_spec(spec) {
             Err(rejection) => {
                 let outcome = match &rejection {
                     EngineError::Overloaded { .. } => "overloaded",
@@ -357,8 +365,7 @@ impl ServeCore {
                 self.telemetry.finish(trace, outcome);
                 line
             }
-            Ok(ticket) => {
-                let (result, timing) = ticket.wait_timed();
+            Ok((result, timing)) => {
                 trace.add_stage("admission", timing.queue_ns);
                 trace.add_stage("engine", timing.exec_ns);
                 if let Ok(timing) = &result {
@@ -386,9 +393,9 @@ impl ServeCore {
     /// [`rlc_lint::lint_synth_deck`], parsed as a [`SynthDeck`],
     /// content-addressed by its *canonical synthesis deck* (which embeds
     /// the selected buffer card, driver resistance, and constraints) under
-    /// the `"synth"` model id, and optimized on the shared engine pool via
-    /// [`SynthSpec`]. The `"synth"` member of the response is exactly
-    /// [`rlc_engine::synth_json`] of the engine's verdict — the
+    /// the `"synth"` model id, and optimized through the shared engine
+    /// service via [`SynthSpec`]. The `"synth"` member of the response is
+    /// exactly [`rlc_engine::synth_json`] of the engine's verdict — the
     /// single-line `rlc-synth/1` report, byte-identical for any worker
     /// count.
     pub fn optimize(&self, request: OptimizeRequest) -> String {
@@ -460,7 +467,7 @@ impl ServeCore {
         if let Some(ms) = request.sleep_ms {
             spec = spec.hold(Duration::from_millis(ms));
         }
-        match self.service.submit_synth_spec(spec) {
+        match self.service.call_synth_spec(spec) {
             Err(rejection) => {
                 let outcome = match &rejection {
                     EngineError::Overloaded { .. } => "overloaded",
@@ -470,8 +477,7 @@ impl ServeCore {
                 self.telemetry.finish(trace, outcome);
                 line
             }
-            Ok(ticket) => {
-                let (result, timing) = ticket.wait_timed();
+            Ok((result, timing)) => {
                 trace.add_stage("admission", timing.queue_ns);
                 trace.add_stage("engine", timing.exec_ns);
                 if let Ok(timing) = &result {
@@ -493,7 +499,7 @@ impl ServeCore {
     }
 
     /// Handles a `lint` request: the full `rlc-lint` report for one deck.
-    /// Never touches the cache or the engine pool.
+    /// Never touches the cache or the engine service.
     pub fn lint(&self, request: &LintRequest) -> String {
         self.lint_with_read(request, None)
     }
@@ -711,7 +717,7 @@ fn admission_response(error: &EngineError) -> String {
     let kind = match error {
         EngineError::Overloaded { .. } => "overloaded",
         EngineError::ShuttingDown { .. } => "shutting_down",
-        // `submit_spec` only ever rejects with the two variants above.
+        // Admission only ever rejects with the two variants above.
         _ => "rejected",
     };
     format!(
@@ -846,7 +852,7 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// starts the engine pool.
+    /// starts the engine service.
     ///
     /// # Errors
     ///

@@ -184,6 +184,19 @@ fn prunes(x: &Candidate, y: &Candidate) -> bool {
     domination(x, y).is_some_and(|strict| strict || tie_prefer(&x.buffers, &y.buffers))
 }
 
+/// Per-component maxima of a candidate's attachments: `t_rc`, `t_lc`,
+/// `arrival`. Every attachment of a dominator is covered componentwise by
+/// one of the dominated candidate's, so a dominator's maxima never exceed
+/// the dominated one's: a larger maximum rules domination out without the
+/// pairwise cover loop of [`domination`].
+fn maxima(cand: &Candidate) -> [f64; 3] {
+    cand.attaches
+        .iter()
+        .fold([f64::NEG_INFINITY; 3], |[rc, lc, arrival], a| {
+            [rc.max(a.t_rc), lc.max(a.t_lc), arrival.max(a.arrival)]
+        })
+}
+
 /// Removes dominated candidates in place, deterministically.
 ///
 /// A candidate is dropped only when the dominator certifies a *strictly*
@@ -199,8 +212,13 @@ fn prunes(x: &Candidate, y: &Candidate) -> bool {
 /// comparisons: a candidate something prunes is pruned by a survivor too.
 /// So a candidate that would be pruned may be left out before the call
 /// without changing its outcome.
+///
+/// Pairs whose [`maxima`] already rule domination out are skipped before
+/// the cover loop; that skips only pairs [`prunes`] rejects, so the
+/// survivors are the same.
 fn prune(cands: &mut Vec<Candidate>) {
     let n = cands.len();
+    let maxima: Vec<[f64; 3]> = cands.iter().map(maxima).collect();
     let mut keep = vec![true; n];
     for i in 0..n {
         if !keep[i] {
@@ -208,6 +226,10 @@ fn prune(cands: &mut Vec<Candidate>) {
         }
         for j in 0..n {
             if i == j || !keep[j] {
+                continue;
+            }
+            let (x, y) = (maxima[i], maxima[j]);
+            if x[0] > y[0] || x[1] > y[1] || x[2] > y[2] {
                 continue;
             }
             if prunes(&cands[i], &cands[j]) {

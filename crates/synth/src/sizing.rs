@@ -19,7 +19,7 @@ use rlc_tree::flat::FlatTree;
 use rlc_tree::{NodeId, RlcTree};
 
 use crate::dp::delay_50;
-use crate::stage::{evaluate, Stage};
+use crate::stage::{EvalPlan, Stage};
 use crate::BufferSpec;
 
 /// Outcome of the width search: the probed optimum and the unit-width
@@ -56,6 +56,9 @@ pub(crate) fn size_width(
         .map(|s| FlatTree::from_tree(&s.tree))
         .collect();
     let mut sums: Vec<FlatIncrementalSums> = flats.iter().map(FlatIncrementalSums::new).collect();
+    // Widths change element values only, never the decomposition, so one
+    // evaluation plan serves every probe.
+    let plan = EvalPlan::new(tree, stages, extra);
 
     let mut probe = |w: f64| -> f64 {
         for &k in &buffered {
@@ -70,7 +73,7 @@ pub(crate) fn size_width(
                 }
             }
         }
-        evaluate(tree, stages, buffer, extra, |k, node| {
+        plan.run(buffer, |k, node| {
             let (rc, lc) = sums[k].rc_lc(&flats[k], node.index());
             delay_50(rc.as_seconds(), lc.as_seconds_squared())
         })

@@ -225,70 +225,131 @@ pub fn evaluate(
     stages: &[Stage],
     buffer: &BufferSpec,
     extra: &[NodeId],
-    mut stage_delay: impl FnMut(usize, NodeId) -> f64,
+    stage_delay: impl FnMut(usize, NodeId) -> f64,
 ) -> NetEval {
-    let n = tree.len();
-    let mut stage_of = vec![usize::MAX; n];
-    for (k, stage) in stages.iter().enumerate() {
-        for (slot, mapped) in stage_of.iter_mut().zip(&stage.to_stage) {
-            if mapped.is_some() {
-                *slot = k;
+    EvalPlan::new(tree, stages, extra).run(buffer, stage_delay)
+}
+
+/// The width-independent part of [`evaluate`]: which stage nodes to query
+/// in which order, and where each cut point's arrival goes. It depends
+/// only on the decomposition, so the sizing search builds it once and
+/// replays it for every width probe.
+#[derive(Debug, Clone)]
+pub(crate) struct EvalPlan {
+    /// Per stage: each frontier cut point and the stage its buffer drives.
+    cuts: Vec<Vec<(NodeId, usize)>>,
+    /// Per stage: each needed member, as (original index, stage node), in
+    /// original index order.
+    queries: Vec<Vec<(usize, NodeId)>>,
+    /// The original sinks, in `leaves()` order.
+    sinks: Vec<NodeId>,
+    nodes: usize,
+}
+
+impl EvalPlan {
+    /// Plans [`evaluate`] for `stages` of `tree` with the extra query
+    /// nodes `extra`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stages` was not produced by [`decompose`] for `tree`, or
+    /// a node of `extra` is not in `tree`.
+    pub(crate) fn new(tree: &RlcTree, stages: &[Stage], extra: &[NodeId]) -> Self {
+        let n = tree.len();
+        let mut stage_of = vec![usize::MAX; n];
+        for (k, stage) in stages.iter().enumerate() {
+            for (slot, mapped) in stage_of.iter_mut().zip(&stage.to_stage) {
+                if mapped.is_some() {
+                    *slot = k;
+                }
             }
         }
-    }
-    let mut want = vec![false; n];
-    for leaf in tree.leaves() {
-        want[leaf.index()] = true;
-    }
-    for &node in extra {
-        assert!(node.index() < n, "query node {node} is not in the tree");
-        want[node.index()] = true;
+        let mut want = vec![false; n];
+        for leaf in tree.leaves() {
+            want[leaf.index()] = true;
+        }
+        for &node in extra {
+            assert!(node.index() < n, "query node {node} is not in the tree");
+            want[node.index()] = true;
+        }
+        let cuts = stages
+            .iter()
+            .map(|stage| {
+                stage
+                    .frontier
+                    .iter()
+                    .map(|&w| {
+                        let down = stages
+                            .iter()
+                            .position(|s| s.driver_site == Some(w))
+                            .unwrap_or_else(|| unreachable!("every frontier site has a stage"));
+                        (stage.cut_node(tree, w), down)
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut queries = vec![Vec::new(); stages.len()];
+        for (idx, &k) in stage_of.iter().enumerate() {
+            let Some(stage) = stages.get(k).filter(|_| want[idx]) else {
+                continue;
+            };
+            let sn =
+                stage.to_stage[idx].unwrap_or_else(|| unreachable!("stage_of and to_stage agree"));
+            queries[k].push((idx, sn));
+        }
+        Self {
+            cuts,
+            queries,
+            sinks: tree.leaves().collect(),
+            nodes: n,
+        }
     }
 
-    let mut stage_arrival = vec![0.0f64; stages.len()];
-    let mut arrival: Vec<Option<f64>> = vec![None; n];
-    for (k, stage) in stages.iter().enumerate() {
-        // Seed downstream stages from this stage's cut points.
-        for &w in &stage.frontier {
-            let cut = stage.cut_node(tree, w);
-            let at_cut = stage_arrival[k] + stage_delay(k, cut);
-            let down = stages
-                .iter()
-                .position(|s| s.driver_site == Some(w))
-                .unwrap_or_else(|| unreachable!("every frontier site has a stage"));
-            stage_arrival[down] = at_cut + buffer.intrinsic_delay;
-        }
-        for idx in 0..n {
-            if stage_of[idx] == k && want[idx] {
-                let sn = stage.to_stage[idx]
-                    .unwrap_or_else(|| unreachable!("stage_of and to_stage agree"));
+    /// Propagates arrivals stage by stage, querying `stage_delay` in the
+    /// planned order.
+    pub(crate) fn run(
+        &self,
+        buffer: &BufferSpec,
+        mut stage_delay: impl FnMut(usize, NodeId) -> f64,
+    ) -> NetEval {
+        let mut stage_arrival = vec![0.0f64; self.cuts.len()];
+        let mut arrival: Vec<Option<f64>> = vec![None; self.nodes];
+        for (k, (cuts, queries)) in self.cuts.iter().zip(&self.queries).enumerate() {
+            // Seed downstream stages from this stage's cut points.
+            for &(cut, down) in cuts {
+                let at_cut = stage_arrival[k] + stage_delay(k, cut);
+                stage_arrival[down] = at_cut + buffer.intrinsic_delay;
+            }
+            for &(idx, sn) in queries {
                 arrival[idx] = Some(stage_arrival[k] + stage_delay(k, sn));
             }
         }
-    }
 
-    let sinks: Vec<(NodeId, f64)> = tree
-        .leaves()
-        .map(|leaf| {
-            let t = arrival[leaf.index()].unwrap_or_else(|| unreachable!("all sinks are queried"));
-            (leaf, t)
-        })
-        .collect();
-    let critical =
-        sinks
+        let sinks: Vec<(NodeId, f64)> = self
+            .sinks
             .iter()
-            .copied()
-            .fold((NodeId::from_index(0), f64::NEG_INFINITY), |acc, s| {
-                if s.1 > acc.1 {
-                    s
-                } else {
-                    acc
-                }
-            });
-    NetEval {
-        arrival,
-        sinks,
-        critical,
+            .map(|&leaf| {
+                let t =
+                    arrival[leaf.index()].unwrap_or_else(|| unreachable!("all sinks are queried"));
+                (leaf, t)
+            })
+            .collect();
+        let critical =
+            sinks
+                .iter()
+                .copied()
+                .fold((NodeId::from_index(0), f64::NEG_INFINITY), |acc, s| {
+                    if s.1 > acc.1 {
+                        s
+                    } else {
+                        acc
+                    }
+                });
+        NetEval {
+            arrival,
+            sinks,
+            critical,
+        }
     }
 }
 
