@@ -9,6 +9,7 @@ use std::time::Instant;
 use eed::{Damping, SecondOrderModel};
 use rlc_moments::ElmoreSums;
 use rlc_obs::{Histogram, HistogramSnapshot, TimeSource};
+use rlc_tree::deck::{grammar, Grammar};
 use rlc_tree::netlist::Netlist;
 use rlc_tree::{FlatTree, NodeId, RlcTree};
 use rlc_units::Time;
@@ -207,8 +208,8 @@ impl Batch {
 
     /// Queues every `*.sp` file directly inside `dir`, sorted by file name
     /// so the corpus (and therefore the report) is deterministic.
-    /// Synthesis decks (files carrying `.lib`/`.use`/`.driver`/`.require`
-    /// cards, see [`rlc_tree::synth::is_synth_deck`]) belong to
+    /// Synthesis decks (files in the synthesis grammar, see
+    /// [`rlc_tree::deck::grammar`]) belong to
     /// [`SynthBatch::from_dir`](crate::SynthBatch::from_dir) and are
     /// skipped, not failed — the two batch kinds partition a mixed deck
     /// directory between them.
@@ -223,7 +224,7 @@ impl Batch {
             .filter_map(|entry| entry.ok().map(|e| e.path()))
             .filter(|p| p.extension().is_some_and(|ext| ext == "sp"))
             .filter(|p| {
-                !std::fs::read_to_string(p).is_ok_and(|deck| rlc_tree::synth::is_synth_deck(&deck))
+                !std::fs::read_to_string(p).is_ok_and(|deck| grammar(&deck) == Grammar::Synth)
             })
             .collect();
         paths.sort();

@@ -18,17 +18,20 @@ use std::sync::mpsc;
 use std::time::Instant;
 
 use rlc_synth::{synthesize, SynthConfig, SynthTiming};
+use rlc_tree::deck::{grammar, Grammar};
 use rlc_tree::synth::SynthDeck;
 
 use crate::batch::BatchTelemetry;
 use crate::{Engine, EngineError};
 
-/// One synthesis job awaiting optimization: an in-memory deck, or a file
-/// path read by the worker that picks the job up.
+/// One synthesis job awaiting optimization: an in-memory deck, a file
+/// path read by the worker that picks the job up, or an already-parsed
+/// deck.
 #[derive(Debug, Clone)]
 pub(crate) enum SynthSource {
     Deck(String),
     File(PathBuf),
+    Parsed(Box<SynthDeck>),
 }
 
 /// An ordered corpus of synthesis decks to optimize.
@@ -104,10 +107,11 @@ impl SynthBatch {
             .push((path.display().to_string(), SynthSource::File(path)));
     }
 
-    /// Queues every `*.sp` file directly inside `dir` that carries
-    /// synthesis cards (see [`rlc_tree::synth::is_synth_deck`]), sorted by
-    /// file name so the corpus (and therefore the report) is deterministic.
-    /// Plain timing decks in the same directory are skipped, not failed.
+    /// Queues every `*.sp` file directly inside `dir` written in the
+    /// synthesis grammar (see [`rlc_tree::deck::grammar`]), sorted by file
+    /// name so the corpus (and therefore the report) is deterministic.
+    /// Plain timing and coupled decks in the same directory are skipped,
+    /// not failed.
     ///
     /// # Errors
     ///
@@ -119,7 +123,7 @@ impl SynthBatch {
             .filter_map(|entry| entry.ok().map(|e| e.path()))
             .filter(|p| p.extension().is_some_and(|ext| ext == "sp"))
             .filter(|p| {
-                std::fs::read_to_string(p).is_ok_and(|deck| rlc_tree::synth::is_synth_deck(&deck))
+                std::fs::read_to_string(p).is_ok_and(|deck| grammar(&deck) == Grammar::Synth)
             })
             .collect();
         paths.sort();
@@ -148,6 +152,9 @@ impl SynthBatch {
                 SynthSource::File(path) => std::fs::read_to_string(path)
                     .ok()
                     .map(|deck| rlc_lint::lint_synth_deck(&deck)),
+                SynthSource::Parsed(deck) => {
+                    Some(rlc_lint::lint_synth_deck(&deck.canonical_deck()))
+                }
             })
             .collect()
     }
@@ -319,8 +326,13 @@ fn optimize_unprotected(
     source: &SynthSource,
     config: &SynthConfig,
 ) -> Result<SynthTiming, EngineError> {
+    let optimize = |parsed: &SynthDeck| {
+        let synthesis = synthesize(parsed, config);
+        SynthTiming::new(name, parsed, &synthesis)
+    };
     let owned;
     let deck: &str = match source {
+        SynthSource::Parsed(parsed) => return Ok(optimize(parsed)),
         SynthSource::Deck(deck) => deck,
         SynthSource::File(path) => {
             owned = std::fs::read_to_string(path).map_err(|e| EngineError::Io {
@@ -334,8 +346,7 @@ fn optimize_unprotected(
         net: name.to_owned(),
         source,
     })?;
-    let synthesis = synthesize(&parsed, config);
-    Ok(SynthTiming::new(name, &parsed, &synthesis))
+    Ok(optimize(&parsed))
 }
 
 #[cfg(test)]

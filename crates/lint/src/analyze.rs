@@ -26,7 +26,8 @@
 //! hands the parsed netlist back with the report, so a caller that needs
 //! both reads the deck once.
 
-use rlc_tree::netlist::{ElementCard, ElementKind, Finding, Netlist, ValueFault};
+use rlc_tree::deck::{grammar, Grammar};
+use rlc_tree::netlist::{DeckScan, ElementCard, ElementKind, Finding, Netlist, ValueFault};
 use rlc_tree::{NodeId, RlcTree, TreeError};
 use rlc_units::QuantityErrorKind;
 
@@ -112,6 +113,17 @@ pub fn lint_and_parse_with(
     let _span = rlc_obs::span!("lint.deck");
     rlc_obs::counter!("lint.decks");
     let scan = Netlist::scan(deck);
+    let report = LintReport::new(net_rules(&scan, config));
+    rlc_obs::counter!("lint.diagnostics", report.diagnostics().len() as u64);
+    (report, scan.netlist)
+}
+
+/// The single-net rule passes over one collect-mode scan: each front-end
+/// finding, the plausibility of each element value and, when the net
+/// parsed, the tree rules, naming nodes by their deck names. Coupled
+/// decks run this per net and synthesis decks over their element
+/// portion.
+pub(crate) fn net_rules(scan: &DeckScan<'_>, config: &LintConfig) -> Vec<Diagnostic> {
     let mut diagnostics: Vec<Diagnostic> = scan.findings.iter().map(finding_diagnostic).collect();
     for element in &scan.elements {
         plausibility(&mut diagnostics, element, config);
@@ -124,9 +136,7 @@ pub fn lint_and_parse_with(
             config,
         );
     }
-    let report = LintReport::new(diagnostics);
-    rlc_obs::counter!("lint.diagnostics", report.diagnostics().len() as u64);
-    (report, scan.netlist)
+    diagnostics
 }
 
 /// Lints an in-memory tree (no deck text, so no line anchors) with the
@@ -157,37 +167,23 @@ pub fn lint_tree_with(tree: &RlcTree, config: &LintConfig) -> LintReport {
     LintReport::new(diagnostics)
 }
 
-/// True when the deck uses the coupled-group grammar: any non-comment
-/// line opening with a `.net` card. Mirrors what `CoupledGroup::parse`
-/// would treat as a block declaration, so file-level routing agrees with
-/// the parser the report predicts.
-pub(crate) fn deck_is_coupled(deck: &str) -> bool {
-    deck.lines().any(|line| {
-        let line = line.trim();
-        !line.starts_with('*')
-            && line
-                .split_whitespace()
-                .next()
-                .is_some_and(|card| card.eq_ignore_ascii_case(".net"))
-    })
-}
-
 /// Reads and lints a deck file. An unreadable file yields a report with a
 /// single [`Rule::UnreadableDeck`] error instead of an `io::Error`, so
 /// batch callers can fold I/O problems into the same report stream.
-/// Decks using the coupled-group grammar (`.net` blocks, see
-/// [`crate::lint_coupled_deck`]) are routed to the coupled analyzer, and
-/// decks carrying synthesis directives (`.lib`/`.use`/`.driver`/
-/// `.require`, see [`crate::lint_synth_deck`]) to the synthesis analyzer,
-/// so directory sweeps may mix single-net, coupled, and synthesis decks
-/// freely.
+/// Each deck goes to the analyzer of its grammar
+/// ([`rlc_tree::deck::grammar`], which reads the cards up to `.end` as
+/// every parser does): coupled decks (`.net` blocks, see
+/// [`crate::lint_coupled_deck`]) to the coupled analyzer, decks carrying
+/// synthesis directives (`.lib`/`.use`/`.driver`/`.require`, see
+/// [`crate::lint_synth_deck`]) to the synthesis analyzer, so directory
+/// sweeps may mix single-net, coupled, and synthesis decks freely.
 pub fn lint_path(path: &std::path::Path, config: &LintConfig) -> LintReport {
     match std::fs::read_to_string(path) {
-        Ok(deck) if deck_is_coupled(&deck) => crate::coupled::lint_coupled_deck_with(&deck, config),
-        Ok(deck) if rlc_tree::synth::is_synth_deck(&deck) => {
-            crate::synth::lint_synth_deck_with(&deck, config)
-        }
-        Ok(deck) => lint_deck_with(&deck, config),
+        Ok(deck) => match grammar(&deck) {
+            Grammar::Coupled => crate::coupled::lint_coupled_deck_with(&deck, config),
+            Grammar::Synth => crate::synth::lint_synth_deck_with(&deck, config),
+            Grammar::Netlist => lint_deck_with(&deck, config),
+        },
         Err(err) => LintReport::new(vec![Diagnostic::deck(
             Rule::UnreadableDeck,
             format!("cannot read deck: {err}"),
@@ -202,11 +198,8 @@ fn finding_diagnostic(finding: &Finding<'_>) -> Diagnostic {
     // "NaN" never parses as a number (the numeric head is empty), but the
     // author clearly meant a value, not a typo: file it as a value error
     // so fault classes map one-to-one onto codes.
-    let non_finite = matches!(
-        finding,
-        Finding::BadValue { raw, fault: ValueFault::Syntax(err), .. }
-            if err.kind() == QuantityErrorKind::NonFinite || is_nan_spelling(raw)
-    );
+    let non_finite =
+        matches!(finding, Finding::BadValue { raw, fault, .. } if is_non_finite(raw, fault));
     let rule = match finding {
         Finding::InputWithoutNode { .. }
         | Finding::UnsupportedCard { .. }
@@ -248,6 +241,18 @@ fn finding_diagnostic(finding: &Finding<'_>) -> Diagnostic {
     }
 }
 
+/// The deck line and message of a front-end error: what a coupled or
+/// synthesis problem reports unless lint words it itself.
+pub(crate) fn error_parts(error: &TreeError) -> (Option<usize>, String) {
+    match error {
+        TreeError::ParseNetlist { line, message } => (Some(*line), message.clone()),
+        TreeError::NotATree { message } | TreeError::SynthDeck { message } => {
+            (None, message.clone())
+        }
+        other => (None, other.to_string()),
+    }
+}
+
 /// `L105`: a finite, positive element value outside the configured
 /// plausible on-chip range for its kind.
 fn plausibility(diagnostics: &mut Vec<Diagnostic>, element: &ElementCard<'_>, config: &LintConfig) {
@@ -269,6 +274,14 @@ fn plausibility(diagnostics: &mut Vec<Diagnostic>, element: &ElementCard<'_>, co
             ),
         ));
     }
+}
+
+/// Whether a value the quantity grammar rejects is an overflow or a
+/// NaN/infinity spelling: a value the author meant, filed as a value
+/// error rather than a malformed card.
+pub(crate) fn is_non_finite(raw: &str, fault: &ValueFault) -> bool {
+    matches!(fault, ValueFault::Syntax(err)
+        if err.kind() == QuantityErrorKind::NonFinite || is_nan_spelling(raw))
 }
 
 /// The spellings of a non-finite float literal that `f64`'s grammar would

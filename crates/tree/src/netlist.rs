@@ -99,14 +99,45 @@ pub struct ElementCard<'a> {
     pub value: Option<f64>,
 }
 
-/// Why an element value was rejected.
+/// Why a card value was rejected. The coupled and synthesis grammars
+/// share this with element cards.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ValueFault {
     /// The text is not a quantity, or overflows (see
     /// [`rlc_units::QuantityErrorKind`]).
     Syntax(ParseQuantityError),
-    /// The value parsed but is negative.
+    /// The value parsed but is negative where it must be non-negative.
     Negative,
+    /// The value parsed but is not positive where it must be (coupling
+    /// capacitors, buffer and driver resistances).
+    NotPositive,
+}
+
+impl ValueFault {
+    /// Reads `raw` as a quantity that must be non-negative, or strictly
+    /// positive when `positive`. Quantity parsing never yields a
+    /// non-finite value, so only the sign is left to check.
+    pub(crate) fn check<T>(raw: &str, base: fn(T) -> f64, positive: bool) -> Result<T, Self>
+    where
+        T: std::str::FromStr<Err = ParseQuantityError> + Copy,
+    {
+        let value = raw.parse::<T>().map_err(ValueFault::Syntax)?;
+        match (base(value), positive) {
+            (v, true) if v > 0.0 => Ok(value),
+            (_, true) => Err(ValueFault::NotPositive),
+            (v, false) if v >= 0.0 => Ok(value),
+            (_, false) => Err(ValueFault::Negative),
+        }
+    }
+
+    /// The parser's message for this fault on `raw`, the value of `what`.
+    pub fn message(&self, what: &str, raw: &str) -> String {
+        match self {
+            ValueFault::Syntax(e) => format!("bad value {raw:?}: {e}"),
+            ValueFault::Negative => format!("{what} {raw:?} must be finite and non-negative"),
+            ValueFault::NotPositive => format!("{what} {raw:?} must be finite and positive"),
+        }
+    }
 }
 
 /// One problem collect mode found, borrowing its text from the deck.
@@ -215,16 +246,8 @@ impl Finding<'_> {
                 label, first_line, ..
             } => format!("card label {label} already used on line {first_line}"),
             Finding::BadValue {
-                raw,
-                fault: ValueFault::Syntax(e),
-                ..
-            } => format!("bad value {raw:?}: {e}"),
-            Finding::BadValue {
-                card,
-                raw,
-                fault: ValueFault::Negative,
-                ..
-            } => format!("element {card} value {raw:?} must be finite and non-negative"),
+                card, raw, fault, ..
+            } => fault.message(&format!("element {card} value"), raw),
             Finding::GroundedSeries { card, .. } => {
                 format!("series element {card} may not connect to ground in a tree")
             }
@@ -292,22 +315,32 @@ impl Netlist {
     ///   disconnected, or lacks an identifiable input node.
     pub fn parse(deck: &str) -> Result<Self, TreeError> {
         let mut cards = deck::cards(deck);
-        let netlist = Self::from_cards(&mut cards, cards_hint(deck))?;
-        Ok(netlist.with_header(cards.header()))
+        let scan = Self::read_cards(&mut cards, cards_hint(deck), false);
+        scan.netlist
+            .map(|netlist| netlist.with_header(cards.header()))
     }
 
-    /// Builds a netlist, fail-fast, from `cards` in deck order (about
-    /// `hint` of them); the netlist has no header. The coupled and
+    /// Runs the builder over `cards` in deck order (about `hint` of them),
+    /// fail-fast or collecting; the netlist has no header. Fail-fast mode
+    /// leaves the findings and element lists empty. The coupled and
     /// synthesis parsers feed their element cards through here.
-    pub(crate) fn from_cards<'a>(
+    pub(crate) fn read_cards<'a>(
         cards: impl IntoIterator<Item = Card<'a>>,
         hint: usize,
-    ) -> Result<Self, TreeError> {
-        let mut builder = Builder::new(false, hint);
-        for card in cards {
-            builder.card(&card)?;
+        collect: bool,
+    ) -> DeckScan<'a> {
+        let mut builder = Builder::new(collect, hint);
+        // Only fail-fast mode stops early, and its error comes first.
+        let read = cards.into_iter().try_for_each(|card| builder.card(&card));
+        let (netlist, collected) = builder.finish();
+        let Collected {
+            findings, elements, ..
+        } = collected.unwrap_or_default();
+        DeckScan {
+            netlist: read.and(netlist),
+            findings,
+            elements,
         }
-        builder.finish(None).0
     }
 
     /// The netlist with `header` as its deck header.
@@ -336,20 +369,11 @@ impl Netlist {
     /// ```
     pub fn scan(deck: &str) -> DeckScan<'_> {
         let mut cards = deck::cards(deck);
-        let mut builder = Builder::new(true, cards_hint(deck));
-        for card in &mut cards {
-            // Collect mode records problems and never stops early.
-            let _ = builder.card(&card);
-        }
-        let (netlist, collected) = builder.finish(cards.header());
-        let Collected {
-            findings, elements, ..
-        } = collected.unwrap_or_default();
-        DeckScan {
-            netlist,
-            findings,
-            elements,
-        }
+        let mut scan = Self::read_cards(&mut cards, cards_hint(deck), true);
+        scan.netlist = scan
+            .netlist
+            .map(|netlist| netlist.with_header(cards.header()));
+        scan
     }
 
     /// The reconstructed tree.
@@ -642,10 +666,7 @@ impl<'a> Builder<'a> {
     /// Checks the element graph and assembles the tree. The outcome is
     /// what `Netlist::parse` returns; the findings come back in collect
     /// mode.
-    fn finish(
-        mut self,
-        header: Option<&str>,
-    ) -> (Result<Netlist, TreeError>, Option<Collected<'a>>) {
+    fn finish(mut self) -> (Result<Netlist, TreeError>, Option<Collected<'a>>) {
         // Graph checks only make sense over a fully read card set: a bad
         // card already fails the deck, and the holes it leaves in the
         // graph would only be cascade noise.
@@ -661,7 +682,7 @@ impl<'a> Builder<'a> {
             (Ok(Some((tree, names))), None) => Ok(Netlist {
                 tree,
                 names,
-                header: header.map(str::to_owned),
+                header: None,
             }),
             // No tree and no error: only a caller that ignored a fail-fast
             // card error gets here. Refuse the deck rather than guess.
@@ -989,16 +1010,6 @@ fn push_card(out: &mut String, letter: char, index: usize, a: Pin, b: Pin, value
 
 fn is_ground(node: &str) -> bool {
     node == "0" || node.eq_ignore_ascii_case("gnd")
-}
-
-pub(crate) fn parse_value<T: std::str::FromStr>(value: &str, line: usize) -> Result<T, TreeError>
-where
-    T::Err: std::fmt::Display,
-{
-    value.parse().map_err(|e| TreeError::ParseNetlist {
-        line,
-        message: format!("bad value {value:?}: {e}"),
-    })
 }
 
 #[cfg(test)]
