@@ -1,7 +1,7 @@
 //! Regression tests for the batch engine's two contracts: per-net failure
 //! isolation and submission-order determinism across worker counts.
 
-use rlc_engine::{Batch, Engine, EngineError};
+use rlc_engine::{Batch, Engine, EngineError, SynthBatch};
 use rlc_tree::{topology, RlcSection};
 use rlc_units::{Capacitance, Inductance, Resistance};
 
@@ -174,6 +174,32 @@ fn file_corpus_from_dir_is_sorted_and_isolated() {
     assert!(outcomes[0].0.ends_with("a.sp") && outcomes[0].1);
     assert!(outcomes[1].0.ends_with("b.sp") && outcomes[1].1);
     assert!(outcomes[2].0.ends_with("c.sp") && !outcomes[2].1);
+
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn from_dir_partitions_decks_by_their_cards_up_to_end() {
+    let dir = std::env::temp_dir().join(format!("rlc-engine-grammar-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create corpus dir");
+    let netlist = "R1 in n1 25\nC1 n1 0 0.5p\n";
+    std::fs::write(dir.join("a.sp"), netlist).unwrap();
+    // A `.lib` card after `.end` is never read: this is a netlist.
+    let past_end = format!("{netlist}.end\n.lib b r=100 cin=1f tin=1p\n");
+    std::fs::write(dir.join("b.sp"), past_end).unwrap();
+    let synth = format!("{netlist}.lib b r=100 cin=1f tin=1p\n.end\n");
+    std::fs::write(dir.join("c.sp"), synth).unwrap();
+
+    let names = |names: Vec<&str>| -> Vec<String> {
+        names
+            .iter()
+            .map(|n| n.rsplit(['/', '\\']).next().unwrap_or(n).to_owned())
+            .collect()
+    };
+    let batch = Batch::from_dir(&dir).expect("readable dir");
+    assert_eq!(names(batch.names().collect()), ["a.sp", "b.sp"]);
+    let synth = SynthBatch::from_dir(&dir).expect("readable dir");
+    assert_eq!(names(synth.names().collect()), ["c.sp"]);
 
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }

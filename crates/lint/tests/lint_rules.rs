@@ -198,6 +198,28 @@ fn l301_unreadable_deck() {
 }
 
 #[test]
+fn lint_path_routes_each_deck_by_its_cards_up_to_end() {
+    let lint = |path: &str| lint_path(std::path::Path::new(path), &LintConfig::default());
+    // Netlists whose `.net` / `.lib` cards sit after `.end`, which no
+    // parser reads: both lint as the clean netlists they parse as.
+    for path in [
+        "fixtures/good/netlist_net_after_end.sp",
+        "fixtures/good/netlist_lib_after_end.sp",
+    ] {
+        let report = lint(path);
+        assert_eq!(report.codes(), vec!["L202"], "{path}: {report:?}");
+        assert!(report.is_clean(), "{path}");
+    }
+    // Coupled and synthesis decks still reach their own linters.
+    assert!(lint("fixtures/bad/coupled_unknown_net.sp")
+        .codes()
+        .contains(&"L401"));
+    assert!(lint("fixtures/bad/synth_unknown_buffer.sp")
+        .codes()
+        .contains(&"L501"));
+}
+
+#[test]
 fn lint_tree_covers_in_memory_trees() {
     assert_eq!(lint_tree(&RlcTree::new()).codes(), vec!["L001"]);
     let mut tree = RlcTree::new();

@@ -1,6 +1,9 @@
 //! The load-bearing property of the whole gate design: **a deck lints
-//! error-free iff `Netlist::parse` accepts it**. Warnings and infos never
+//! error-free iff its parser accepts it** (`Netlist::parse`,
+//! `CoupledGroup::parse` or `SynthDeck::parse`). Warnings and infos never
 //! block parsing; any error-severity finding predicts a parse failure.
+//! The coupled and synthesis cases also check that each collect-mode
+//! `scan` returns exactly its parser's outcome.
 //!
 //! `rlc-serve` relies on this to reject work before admission without ever
 //! refusing a deck the engine could serve, and `rlc-engine`'s batch
@@ -11,6 +14,7 @@ use rlc_lint::{lint_coupled_deck, lint_deck, lint_synth_deck};
 use rlc_tree::coupled::CoupledGroup;
 use rlc_tree::netlist::Netlist;
 use rlc_tree::synth::SynthDeck;
+use rlc_tree::TreeError;
 
 /// A generator of decks spanning the interesting space: mostly valid
 /// topologies, with mutations that hit every scanner path.
@@ -56,17 +60,18 @@ fn decks() -> impl Strategy<Value = String> {
 }
 
 /// A generator of *coupled* decks: 1–3 `.net` blocks built from the same
-/// per-net section chains as [`decks`], with `K` cards and mutations that
-/// hit every coupled-scanner path (`.net` grammar, reference resolution,
-/// coupling values, per-net chunk faults).
+/// per-net section chains as [`decks`], with `K` cards and one or two
+/// mutations that hit every coupled front-end path (`.net` grammar,
+/// reference resolution, coupling values, per-net faults) and the order
+/// in which the parser meets them.
 fn coupled_decks() -> impl Strategy<Value = String> {
     let section = (0u32..4, 1u32..100, 1u32..100);
     let net = proptest::collection::vec(section, 1..6);
     (
         proptest::collection::vec(net, 1..4),
-        0u32..16, // mutation selector
+        proptest::collection::vec(0u32..16, 1..3), // mutation selectors
     )
-        .prop_map(|(nets, mutation)| {
+        .prop_map(|(nets, mutations)| {
             let mut deck = String::new();
             for (n, sections) in nets.iter().enumerate() {
                 deck.push_str(&format!(".net net{n}\n"));
@@ -88,39 +93,42 @@ fn coupled_decks() -> impl Strategy<Value = String> {
             if nets.len() > 1 {
                 deck.push_str("K1 net0.m0 net1.m0 0.05p\n");
             }
-            match mutation {
-                0 => deck.push_str("K9 net0.m0 ghost.m0 0.1p\n"),
-                1 => deck.push_str("K9 net0.m0 net0.m0 0.1p\n"),
-                2 => deck.push_str("K9 net0.m0 net0.zz 0.1p\n"),
-                3 => deck.push_str("K9 net0.m0 0.1p\n"),
-                4 => deck.push_str("K9 net0.m0 nodot 0.1p\n"),
-                5 => deck.push_str("K9 net0.m0 net0.m0 0\n"),
-                6 => deck.push_str("K9 net0.m0 net0.m0 NaN\n"),
-                7 => deck.push_str("K9 net0.m0 net0.m0 1e999\n"),
-                8 => deck.push_str("K9 net0.m0 net0.m0 oops\n"),
-                9 => deck.push_str(".net\n"),
-                10 => deck.push_str(".net two words\n"),
-                11 => deck.push_str(".net dotted.name\n"),
-                12 => deck.push_str(".net net0\nR1 in n1 10\nC1 n1 0 1p\n"),
-                13 => deck.push_str("Rbad m0\n"),
-                14 => deck = format!("Rearly in n1 10\n{deck}"),
-                _ => {} // leave the deck valid
+            for mutation in mutations {
+                match mutation {
+                    0 => deck.push_str("K9 net0.m0 ghost.m0 0.1p\n"),
+                    1 => deck.push_str("K9 net0.m0 net0.m0 0.1p\n"),
+                    2 => deck.push_str("K9 net0.m0 net0.zz 0.1p\n"),
+                    3 => deck.push_str("K9 net0.m0 0.1p\n"),
+                    4 => deck.push_str("K9 net0.m0 nodot 0.1p\n"),
+                    5 => deck.push_str("K9 net0.m0 net0.m0 0\n"),
+                    6 => deck.push_str("K9 net0.m0 net0.m0 NaN\n"),
+                    7 => deck.push_str("K9 net0.m0 net0.m0 1e999\n"),
+                    8 => deck.push_str("K9 net0.m0 net0.m0 oops\n"),
+                    9 => deck.push_str(".net\n"),
+                    10 => deck.push_str(".net two words\n"),
+                    11 => deck.push_str(".net dotted.name\n"),
+                    12 => deck.push_str(".net net0\nR1 in n1 10\nC1 n1 0 1p\n"),
+                    13 => deck.push_str("Rbad m0\n"),
+                    14 => deck = format!("Rearly in n1 10\n{deck}"),
+                    _ => {} // leave the deck valid
+                }
             }
             deck
         })
 }
 
 /// A generator of *synthesis* decks: a valid section chain plus
-/// `.lib`/`.use`/`.driver`/`.require` cards, with mutations hitting every
-/// synthesis-scanner path (card grammar, buffer resolution, resistance
-/// signs, constraint-node resolution, element faults underneath).
+/// `.lib`/`.use`/`.driver`/`.require` cards, with one or two mutations
+/// hitting every synthesis front-end path (card grammar, buffer
+/// resolution, resistance signs, constraint-node resolution, element
+/// faults underneath) and the order in which the parser meets them.
 fn synth_decks() -> impl Strategy<Value = String> {
     let section = (0u32..4, 1u32..100, 1u32..100);
     (
         proptest::collection::vec(section, 1..8),
-        0u32..20, // mutation selector
+        proptest::collection::vec(0u32..20, 1..3), // mutation selectors
     )
-        .prop_map(|(sections, mutation)| {
+        .prop_map(|(sections, mutations)| {
             let mut deck = String::from(".input in\n");
             for (i, (kind, series, cap)) in sections.iter().enumerate() {
                 let parent = if i == 0 {
@@ -137,27 +145,29 @@ fn synth_decks() -> impl Strategy<Value = String> {
                 deck.push_str(&format!("C{i} {me} 0 {cap}f\n"));
             }
             deck.push_str(".lib bufa r=120 cin=4f tin=15p\n");
-            match mutation {
-                0 => deck.push_str(".lib short r=1k cin=4f\n"),
-                1 => deck.push_str(".lib keys r=1k cin=4f zap=1p\n"),
-                2 => deck.push_str(".lib keys r=1k cin=4f cin=5f\n"),
-                3 => deck.push_str(".lib bufa r=2k cin=4f tin=1p\n"),
-                4 => deck.push_str(".lib zero r=0 cin=4f tin=1p\n"),
-                5 => deck.push_str(".lib neg r=-5 cin=4f tin=1p\n"),
-                6 => deck.push_str(".lib bad r=oops cin=4f tin=1p\n"),
-                7 => deck.push_str(".lib nn r=1k cin=-4f tin=1p\n"),
-                8 => deck.push_str(".use ghost\n"),
-                9 => deck.push_str(".use bufa\n.use bufa\n"),
-                10 => deck.push_str(".use one two\n"),
-                11 => deck.push_str(".driver 0\n"),
-                12 => deck.push_str(".driver 100\n.driver 200\n"),
-                13 => deck.push_str(".driver\n"),
-                14 => deck.push_str(".require ghost 1n\n"),
-                15 => deck.push_str(".require m0 -1p\n"),
-                16 => deck.push_str(".require m0 1p\n.require m0 2p\n"),
-                17 => deck.push_str(".require m0\n"),
-                18 => deck.push_str("Rbad m0\n"),
-                _ => deck.push_str(".use bufa\n.driver 150\n.require m0 2n\n"),
+            for mutation in mutations {
+                match mutation {
+                    0 => deck.push_str(".lib short r=1k cin=4f\n"),
+                    1 => deck.push_str(".lib keys r=1k cin=4f zap=1p\n"),
+                    2 => deck.push_str(".lib keys r=1k cin=4f cin=5f\n"),
+                    3 => deck.push_str(".lib bufa r=2k cin=4f tin=1p\n"),
+                    4 => deck.push_str(".lib zero r=0 cin=4f tin=1p\n"),
+                    5 => deck.push_str(".lib neg r=-5 cin=4f tin=1p\n"),
+                    6 => deck.push_str(".lib bad r=oops cin=4f tin=1p\n"),
+                    7 => deck.push_str(".lib nn r=1k cin=-4f tin=1p\n"),
+                    8 => deck.push_str(".use ghost\n"),
+                    9 => deck.push_str(".use bufa\n.use bufa\n"),
+                    10 => deck.push_str(".use one two\n"),
+                    11 => deck.push_str(".driver 0\n"),
+                    12 => deck.push_str(".driver 100\n.driver 200\n"),
+                    13 => deck.push_str(".driver\n"),
+                    14 => deck.push_str(".require ghost 1n\n"),
+                    15 => deck.push_str(".require m0 -1p\n"),
+                    16 => deck.push_str(".require m0 1p\n.require m0 2p\n"),
+                    17 => deck.push_str(".require m0\n"),
+                    18 => deck.push_str("Rbad m0\n"),
+                    _ => deck.push_str(".use bufa\n.driver 150\n.require m0 2n\n"),
+                }
             }
             deck
         })
@@ -189,6 +199,9 @@ proptest! {
             "coupled lint/parse disagree on {deck:?}: {report:?} vs {:?}",
             parsed.err()
         );
+        // Collect mode returns exactly what the parser does.
+        let canonical = |group: Result<CoupledGroup, TreeError>| group.map(|g| g.canonical_deck());
+        prop_assert_eq!(canonical(CoupledGroup::scan(&deck).into_group()), canonical(parsed));
     }
 
     #[test]
@@ -206,6 +219,9 @@ proptest! {
             "synth lint/parse disagree on {deck:?}: {report:?} vs {:?}",
             parsed.err()
         );
+        // Collect mode returns exactly what the parser does.
+        let canonical = |deck: Result<SynthDeck, TreeError>| deck.map(|d| d.canonical_deck());
+        prop_assert_eq!(canonical(SynthDeck::scan(&deck).into_deck()), canonical(parsed));
     }
 
     #[test]
